@@ -7,7 +7,6 @@ configurations, reporting exponent multisets along the way.
 """
 
 from .rootsystem import (
-    RootPoset,
     RootSystem,
     TypeLabel,
     build_root_system,
@@ -16,7 +15,6 @@ from .rootsystem import (
     parse_root,
     rank2_subsystem,
     reflect,
-    root_poset,
 )
 from .ideals import (
     BadIdealWitness,
@@ -31,17 +29,7 @@ from .ideals import (
     principal_filter,
     restrict_without_g,
 )
-from .matroid import (
-    Arrangement,
-    Flat,
-    characteristic_polynomial,
-    closure,
-    independent_sets,
-    is_line_closed,
-    rank,
-    two_closure,
-    two_flats,
-)
+from .matroid import Arrangement, Flat
 from .classify import (
     ClassificationRecord,
     EquivalenceViolation,
@@ -61,9 +49,7 @@ __version__ = "0.1.0"
 __all__ = [
     "TypeLabel",
     "RootSystem",
-    "RootPoset",
     "build_root_system",
-    "root_poset",
     "inner_product",
     "reflect",
     "rank2_subsystem",
@@ -82,13 +68,6 @@ __all__ = [
     "is_path_root",
     "Arrangement",
     "Flat",
-    "closure",
-    "rank",
-    "two_flats",
-    "independent_sets",
-    "two_closure",
-    "is_line_closed",
-    "characteristic_polynomial",
     "PartitionCertificate",
     "ClassificationRecord",
     "EquivalenceViolation",

@@ -25,16 +25,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .rootsystem import RootSystem, _RootTable, _bits, format_root
+from .rootsystem import RootSystem, _RootTable, _bits, _echelon, format_root
 from .ideals import (
     Ideal,
+    _bond_position,
+    ab_pairs,
     contains_f4_bad_ideal,
     f4_bad_witness,
     find_star_ideal,
     g_set_mask,
+    restrict_mask,
     BadIdealWitness,
 )
-from .matroid import Arrangement, _echelon
+from .matroid import Arrangement
 
 
 class EquivalenceViolation(RuntimeError):
@@ -203,21 +206,15 @@ def validate_chain_peeling(ideal: Ideal, cert: PartitionCertificate) -> bool:
 
 
 def _arr(system: RootSystem, mask: int) -> Arrangement:
-    cache = getattr(system, "_arrangements", None)
-    if cache is None:
-        cache = system._arrangements = {}
-    arr = cache.get(mask)
+    arr = system._arrangements.get(mask)
     if arr is None:
-        arr = Arrangement(system, _bits(mask))
-        cache[mask] = arr
+        arr = system._arrangements[mask] = Arrangement(system, _bits(mask))
     return arr
 
 
 def _generic_search(system: RootSystem, mask: int) -> Optional[tuple[int, ...]]:
     """Blocks as masks, bottom-up, or None; memoized on the ground mask."""
-    memo = getattr(system, "_generic_ss_memo", None)
-    if memo is None:
-        memo = system._generic_ss_memo = {}
+    memo = system._generic_ss_memo
     if mask in memo:
         return memo[mask]
     if mask == 0:
@@ -298,14 +295,6 @@ def validate_supersolving(system: RootSystem, blocks: Sequence[Sequence[int]]) -
 # -- root-ideal supersolvability fast path ------------------------------------
 
 
-def _table_ab_pairs(table: _RootTable, ai: int, bi: int) -> list[tuple[int, int]]:
-    pairs = []
-    for v in table.coords:
-        if v[ai] >= 1 and v[bi] >= 1 and sum(v) == v[ai] + v[bi]:
-            pairs.append((v[ai], v[bi]))
-    return sorted(pairs)
-
-
 def _rootideal_search(
     table: _RootTable, mask: int
 ) -> Optional[tuple[tuple[tuple[int, ...], tuple], ...]]:
@@ -315,24 +304,27 @@ def _rootideal_search(
     memo = table._ss_memo
     if mask in memo:
         return memo[mask]
-    base = table.base
-
     # Essentialize: restrict to the parabolic subsystem spanned by the
     # simple roots the ideal actually contains.
     present = [k for k in range(table.rank) if mask >> table.simple_positions[k] & 1]
     if len(present) < table.rank:
         delta = tuple(table.base_index(table.simple_positions[k]) for k in present)
-        view = base.subsystem_view(delta)
-        vmask = 0
-        for pos in _bits(mask):
-            vmask |= 1 << view.position_of_base[table.base_index(pos)]
-        result = _rootideal_search(view, vmask)
-        memo[mask] = result
-        return result
+        view = table.base.subsystem_view(delta)
+        result = _rootideal_search(view, view.mask_from(table, mask))
+    else:
+        result = _rootideal_top(table, mask)
+    memo[mask] = result
+    return result
 
-    ideal_base = _mask_to_base(table, mask)
-    result = None
 
+def _rootideal_top(
+    table: _RootTable, mask: int
+) -> Optional[tuple[tuple[tuple[int, ...], tuple], ...]]:
+    """Blocks with meta, bottom-up, for the first top block that works.
+
+    ``mask`` is an essential ideal (it contains every simple root).  None
+    when no candidate top block leads to a supersolving partition.
+    """
     # Case (a): the filter of a simple root, provided it is a chain.
     for k in range(table.rank):
         pos = table.simple_positions[k]
@@ -342,66 +334,41 @@ def _rootideal_search(
         sub = _rootideal_search(table, mask & ~fmask)
         if sub is not None:
             meta = ("F", table.base_index(pos))
-            result = sub + ((_base_tuple(table, fmask), meta),)
-            break
+            return sub + ((_base_tuple(table, fmask), meta),)
 
     # Case (b): the complement of the multiples of a bonded pair; the
     # remainder is an ideal of the rank-lowered subsystem.
-    if result is None:
-        for k1 in range(table.rank):
-            for k2 in range(k1 + 1, table.rank):
-                for a, b in _table_ab_pairs(table, k1, k2):
-                    bond = tuple(
-                        a if t == k1 else b if t == k2 else 0
-                        for t in range(table.rank)
+    base = table.base
+    ideal_base = _mask_to_base(table, mask)
+    for k1 in range(table.rank):
+        for k2 in range(k1 + 1, table.rank):
+            for a, b in ab_pairs(table, k1, k2):
+                if not mask >> _bond_position(table, k1, k2, a, b) & 1:
+                    continue  # remainder would lose a full rank
+                gmask = g_set_mask(table, mask, k1, k2, a, b)
+                if not gmask:
+                    continue
+                g_base = _mask_to_base(table, gmask)
+                members = list(_bits(g_base))
+                if not all(
+                    base.pair_span_mask(members[x], members[y]) & ideal_base & ~g_base
+                    for x in range(len(members))
+                    for y in range(x + 1, len(members))
+                ):
+                    continue
+                view, vmask = restrict_mask(table, mask & ~gmask, k1, k2, a, b)
+                assert view.is_downward_closed(vmask)
+                sub = _rootideal_search(view, vmask)
+                if sub is not None:
+                    meta = (
+                        "G",
+                        table.base_index(table.simple_positions[k1]),
+                        table.base_index(table.simple_positions[k2]),
+                        a,
+                        b,
                     )
-                    bond_pos = table.index_of[bond]
-                    if not mask >> bond_pos & 1:
-                        continue  # remainder would lose a full rank
-                    gmask = g_set_mask(table, mask, k1, k2, a, b)
-                    if not gmask:
-                        continue
-                    g_base = _mask_to_base(table, gmask)
-                    members = list(_bits(g_base))
-                    ok = True
-                    for x in range(len(members)):
-                        for y in range(x + 1, len(members)):
-                            span = base.pair_span_mask(members[x], members[y])
-                            if not span & ideal_base & ~g_base:
-                                ok = False
-                                break
-                        if not ok:
-                            break
-                    if not ok:
-                        continue
-                    delta = (table.base_index(bond_pos),) + tuple(
-                        table.base_index(table.simple_positions[t])
-                        for t in range(table.rank)
-                        if t not in (k1, k2)
-                    )
-                    view = base.subsystem_view(delta)
-                    vmask = 0
-                    for pos in _bits(mask & ~gmask):
-                        vmask |= 1 << view.position_of_base[table.base_index(pos)]
-                    assert view.is_downward_closed(vmask)
-                    sub = _rootideal_search(view, vmask)
-                    if sub is not None:
-                        meta = (
-                            "G",
-                            table.base_index(table.simple_positions[k1]),
-                            table.base_index(table.simple_positions[k2]),
-                            a,
-                            b,
-                        )
-                        result = sub + ((tuple(members), meta),)
-                        break
-                if result is not None:
-                    break
-            if result is not None:
-                break
-
-    memo[mask] = result
-    return result
+                    return sub + ((tuple(members), meta),)
+    return None
 
 
 def is_supersolvable_rootideal(ideal: Ideal) -> Optional[PartitionCertificate]:

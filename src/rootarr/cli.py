@@ -8,7 +8,8 @@ Surveys classify every ideal of a type and write a JSON report
 except for the ``timing_seconds`` field.  Types of rank 7 and up are
 refused without ``--force`` (an E8 survey classifies 25080 ideals of up to
 120 roots; expect hours, not minutes).  If ``ROOTARR_CACHE_DIR`` is set,
-survey records are persisted there per (type, schema, version) and reused.
+survey records are persisted there per (type, schema, source digest) and
+reused; the digest covers the package's modules.
 """
 
 from __future__ import annotations
@@ -106,6 +107,11 @@ def _classify_mask(payload: tuple[int, bool]) -> tuple[int, int, dict | None, st
         record = classify_ideal(ideal)
     except EquivalenceViolation as exc:
         return mask, ideal.size, None, str(exc), False
+    except Exception as exc:
+        raise RuntimeError(
+            f"classifying ideal {ideal.coordinate_strings()} of {rs.label} failed: "
+            f"{type(exc).__name__}: {exc}"
+        ) from exc
     if log_greedy and record.chain_peelable:
         stuck = chain_peeling_greedy(ideal) is None
     return mask, ideal.size, record.to_dict(rs), None, stuck
@@ -164,11 +170,22 @@ def run_survey(type_str: str, jobs: int = 1, log_greedy: bool = False) -> dict:
     }
 
 
+def _source_digest() -> str:
+    """sha256 over the package's modules, so cached records follow the code."""
+    # Imported here: hashlib adds about 3.5 MB to every process otherwise.
+    import hashlib
+
+    digest = hashlib.sha256()
+    for src in sorted(Path(__file__).parent.glob("*.py")):
+        digest.update(src.name.encode() + b"\0" + src.read_bytes() + b"\0")
+    return digest.hexdigest()
+
+
 def _cache_path(type_str: str) -> Path | None:
     root = os.environ.get("ROOTARR_CACHE_DIR")
     if not root:
         return None
-    return Path(root) / f"survey-{type_str}-schema{SCHEMA}-v{__version__}.json"
+    return Path(root) / f"survey-{type_str}-schema{SCHEMA}-{_source_digest()[:16]}.json"
 
 
 def _cache_load(type_str: str):
@@ -187,7 +204,12 @@ def _cache_store(type_str: str, results) -> None:
     if path is None:
         return
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps({"results": results}))
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(json.dumps({"results": results}))
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def _write_csv(report: dict, stream) -> None:
@@ -212,6 +234,9 @@ def _write_csv(report: dict, stream) -> None:
 
 def cmd_survey(args) -> int:
     label = TypeLabel.parse(args.type)
+    if args.jobs < 1:
+        _err(f"--jobs must be at least 1, got {args.jobs}")
+        return 2
     if label.rank >= 7 and not args.force:
         _err(
             f"{label} has rank {label.rank}; surveys default to rank <= 6 "

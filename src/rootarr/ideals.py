@@ -17,7 +17,16 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterator, Sequence
 
-from .rootsystem import _RootTable, RootSystem, _bits, format_root, parse_root
+from .rootsystem import (
+    _RootTable,
+    RootSystem,
+    _bits,
+    _echelon,
+    _mask_of,
+    _reduce,
+    format_root,
+    parse_root,
+)
 
 
 @dataclass(frozen=True)
@@ -40,10 +49,7 @@ class Ideal:
 
     @classmethod
     def from_roots(cls, system: _RootTable, roots: Sequence[int]) -> "Ideal":
-        mask = 0
-        for r in roots:
-            mask |= 1 << r
-        return cls(system, mask)
+        return cls(system, _mask_of(roots))
 
     @classmethod
     def from_generators(cls, system: _RootTable, roots: Sequence[int]) -> "Ideal":
@@ -70,9 +76,13 @@ class Ideal:
             tokens = [t for t in text.split(",") if t.strip()]
         try:
             roots = [parse_root(system, t) for t in tokens]
-        except ValueError:
-            # Fall back to reading the whole text as one comma-form root.
-            roots = [parse_root(system, text)]
+        except ValueError as token_error:
+            # Fall back to reading the whole text as one comma-form root;
+            # if that fails too, report the bad generator token.
+            try:
+                roots = [parse_root(system, text)]
+            except ValueError:
+                raise token_error from None
         return cls.from_generators(system, roots)
 
     @property
@@ -134,11 +144,6 @@ def principal_filter(ideal: Ideal, alpha: int) -> frozenset[int]:
     return frozenset(_bits(ideal.mask & sys_.up_masks[alpha]))
 
 
-def filter_mask(table: _RootTable, mask: int, alpha_pos: int) -> int:
-    """Bitmask form of the principal filter, no validation."""
-    return mask & table.up_masks[alpha_pos]
-
-
 def g_set(ideal: Ideal, alpha: int, beta: int, a: int, b: int) -> frozenset[int]:
     """Members whose (alpha, beta)-coordinate pair is not a multiple of (a, b).
 
@@ -148,9 +153,7 @@ def g_set(ideal: Ideal, alpha: int, beta: int, a: int, b: int) -> frozenset[int]
     excluded as well.
     """
     sys_ = ideal.system
-    ai, bi = _simple_coordinate_axis(sys_, alpha), _simple_coordinate_axis(sys_, beta)
-    if ai == bi:
-        raise ValueError("the two simple roots must be distinct")
+    ai, bi = _simple_axes(sys_, alpha, beta)
     _require_bond_root(sys_, ai, bi, a, b)
     return frozenset(_bits(g_set_mask(sys_, ideal.mask, ai, bi, a, b)))
 
@@ -167,40 +170,53 @@ def g_set_mask(table: _RootTable, mask: int, ai: int, bi: int, a: int, b: int) -
     return out
 
 
-def _simple_coordinate_axis(table: _RootTable, root_idx: int) -> int:
-    v = table.coords[root_idx]
-    if sum(v) != 1:
-        raise ValueError(f"root {v} is not simple")
-    return v.index(1)
+def _simple_axes(table: _RootTable, alpha: int, beta: int) -> tuple[int, int]:
+    """Coordinate axes of two distinct simple roots given by root index."""
+    axes = []
+    for v in (table.coords[alpha], table.coords[beta]):
+        if sum(v) != 1:
+            raise ValueError(f"root {v} is not simple")
+        axes.append(v.index(1))
+    if axes[0] == axes[1]:
+        raise ValueError("the two simple roots must be distinct")
+    return axes[0], axes[1]
+
+
+def _bond_position(table: _RootTable, ai: int, bi: int, a: int, b: int) -> int | None:
+    """Position of the root ``a*alpha_ai + b*alpha_bi``, or None if no root."""
+    v = tuple(a if k == ai else b if k == bi else 0 for k in range(table.rank))
+    return table.index_of.get(v)
 
 
 def _require_bond_root(table: _RootTable, ai: int, bi: int, a: int, b: int) -> None:
     if a < 1 or b < 1:
         raise ValueError("multipliers must be positive")
-    target = tuple(
-        a if k == ai else b if k == bi else 0 for k in range(table.rank)
-    )
-    if target not in table.index_of:
+    if _bond_position(table, ai, bi, a, b) is None:
         raise ValueError(
             f"{a}*alpha + {b}*beta is not a positive root for this pair"
         )
 
 
-def candidate_ab_pairs(rs: _RootTable, alpha: int, beta: int) -> list[tuple[int, int]]:
-    """All (a, b) with a, b >= 1 making a*alpha + b*beta a positive root.
+def ab_pairs(table: _RootTable, ai: int, bi: int) -> list[tuple[int, int]]:
+    """Sorted (a, b) with a, b >= 1 making a*alpha_ai + b*alpha_bi a root.
 
-    Found by scanning the roots supported exactly on the two coordinate
-    axes, so triple bonds need no special casing.  Empty when the two
-    simple roots are not bonded.
+    ``ai`` and ``bi`` are distinct coordinate axes.  Found by scanning the
+    roots supported exactly on the two axes, so triple bonds need no
+    special casing.  Empty when the two simple roots are not bonded.
     """
-    ai, bi = _simple_coordinate_axis(rs, alpha), _simple_coordinate_axis(rs, beta)
-    if ai == bi:
-        raise ValueError("the two simple roots must be distinct")
     pairs = []
-    for v in rs.coords:
+    for v in table.coords:
         if v[ai] >= 1 and v[bi] >= 1 and sum(v) == v[ai] + v[bi]:
             pairs.append((v[ai], v[bi]))
     return sorted(pairs)
+
+
+def candidate_ab_pairs(rs: _RootTable, alpha: int, beta: int) -> list[tuple[int, int]]:
+    """All (a, b) with a, b >= 1 making a*alpha + b*beta a positive root.
+
+    ``alpha`` and ``beta`` are root indices of distinct simple roots.
+    """
+    return ab_pairs(rs, *_simple_axes(rs, alpha, beta))
 
 
 @dataclass(frozen=True)
@@ -309,23 +325,41 @@ class SubsystemView(_RootTable):
     def __init__(self, base: RootSystem, delta_base: Sequence[int]):
         self.base = base
         self.delta_base = tuple(sorted(delta_base))
-        self.rank = len(self.delta_base)
-        basis = [base.coords[i] for i in self.delta_base]
-        members: list[tuple[int, tuple[int, ...]]] = []
-        for idx, v in enumerate(base.coords):
-            c = _solve_in_basis(basis, v, base.rank)
-            if c is not None:
-                members.append((idx, c))
-        coords = [c for _, c in members]
-        self._by_coord_parent = {c: idx for idx, c in members}
-        self._finish(coords)
-        self.parent_indices = tuple(
-            self._by_coord_parent[self.coords[p]] for p in range(self.nroots)
+        self.rank = k = len(self.delta_base)
+        dim = base.rank
+        # Echelon the rows (delta_j | e_j | 0) and reduce (v | 0 | 1).  When
+        # the first ``dim`` entries vanish the result is (0 | -lam*c | lam),
+        # where v = sum_j c_j delta_j; otherwise v is outside the span.
+        rows = _echelon(
+            base.coords[d] + tuple(int(t == j) for t in range(k)) + (0,)
+            for j, d in enumerate(self.delta_base)
         )
+        if any(piv >= dim for piv, _ in rows):
+            raise ValueError("subsystem spanning set must be linearly independent")
+        parent_of: dict[tuple[int, ...], int] = {}
+        for idx, v in enumerate(base.coords):
+            r = _reduce(rows, v + (0,) * k + (1,))
+            if any(r[:dim]):
+                continue
+            lam, tail = r[-1], r[dim:-1]
+            c = tuple(-t // lam for t in tail)
+            assert all(
+                x >= 0 and x * lam == -t for x, t in zip(c, tail)
+            ), "subsystem coordinates must be nonneg integers"
+            parent_of[c] = idx
+        self._finish(list(parent_of))
+        self.parent_indices = tuple(parent_of[c] for c in self.coords)
         self.position_of_base = {b: p for p, b in enumerate(self.parent_indices)}
 
     def base_index(self, pos: int) -> int:
         return self.parent_indices[pos]
+
+    def mask_from(self, table: _RootTable, mask: int) -> int:
+        """``mask`` over positions of ``table``, reindexed over this view."""
+        out = 0
+        for pos in _bits(mask):
+            out |= 1 << self.position_of_base[table.base_index(pos)]
+        return out
 
     @property
     def lacing(self) -> int:
@@ -344,59 +378,6 @@ class SubsystemView(_RootTable):
         return f"SubsystemView({self.base.label}: <{delta}>, {self.nroots} roots)"
 
 
-def _solve_in_basis(
-    basis: list[tuple[int, ...]], v: tuple[int, ...], dim: int
-) -> tuple[int, ...] | None:
-    """Express v over the basis with nonnegative integer coefficients.
-
-    Returns None when v is outside the span; positive roots of a subsystem
-    always come out with nonnegative integral coordinates over its simple
-    set, which is asserted.
-    """
-    k = len(basis)
-    rows = [
-        [Fraction(basis[j][t]) for j in range(k)] + [Fraction(v[t])]
-        for t in range(dim)
-    ]
-    piv_rows: list[list[Fraction]] = []
-    piv_cols: list[int] = []
-    for col in range(k):
-        pivot = None
-        for r in rows:
-            if r[col] != 0 and all(r[c] == 0 for c in piv_cols):
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        rows.remove(pivot)
-        pivot = [x / pivot[col] for x in pivot]
-        for r in rows:
-            if r[col] != 0:
-                f = r[col]
-                for t in range(k + 1):
-                    r[t] -= f * pivot[t]
-        for pr in piv_rows:
-            if pr[col] != 0:
-                f = pr[col]
-                for t in range(k + 1):
-                    pr[t] -= f * pivot[t]
-        piv_rows.append(pivot)
-        piv_cols.append(col)
-    if len(piv_cols) != k:
-        raise ValueError("subsystem spanning set must be linearly independent")
-    # Any leftover row with a nonzero right-hand side means v is not in span.
-    if any(r[k] != 0 for r in rows):
-        return None
-    coeffs = [Fraction(0)] * k
-    for pr, col in zip(piv_rows, piv_cols):
-        coeffs[col] = pr[k]
-    out = []
-    for c in coeffs:
-        assert c.denominator == 1 and c >= 0, "subsystem coordinates must be nonneg integers"
-        out.append(int(c))
-    return tuple(out)
-
-
 def restrict_without_g(
     ideal: Ideal, alpha: int, beta: int, a: int, b: int
 ) -> tuple[SubsystemView, Ideal]:
@@ -408,19 +389,27 @@ def restrict_without_g(
     order).  Returns the view and the reindexed ideal.
     """
     table = ideal.system
-    base = table.base
-    ai, bi = _simple_coordinate_axis(table, alpha), _simple_coordinate_axis(table, beta)
+    ai, bi = _simple_axes(table, alpha, beta)
     _require_bond_root(table, ai, bi, a, b)
-    bond = tuple(a if k == ai else b if k == bi else 0 for k in range(table.rank))
-    bond_base = table.base_index(table.index_of[bond])
-    delta = [bond_base] + [
+    rest = ideal.mask & ~g_set_mask(table, ideal.mask, ai, bi, a, b)
+    view, rest_mask = restrict_mask(table, rest, ai, bi, a, b)
+    return view, Ideal(view, rest_mask)
+
+
+def restrict_mask(
+    table: _RootTable, mask: int, ai: int, bi: int, a: int, b: int
+) -> tuple[SubsystemView, int]:
+    """The subsystem spanned by the bond root and the other simple roots.
+
+    ``ai``/``bi`` are coordinate axes and ``a*alpha_ai + b*alpha_bi`` must
+    be a root; ``mask`` (table positions) must avoid the g_set block, so
+    every member lies in the subsystem.  Returns the view and ``mask``
+    reindexed over the view's positions.  No validation.
+    """
+    delta = [table.base_index(_bond_position(table, ai, bi, a, b))] + [
         table.base_index(p)
         for k, p in enumerate(table.simple_positions)
         if k not in (ai, bi)
     ]
-    view = base.subsystem_view(delta)
-    g_mask = g_set_mask(table, ideal.mask, ai, bi, a, b)
-    rest_mask = 0
-    for pos in _bits(ideal.mask & ~g_mask):
-        rest_mask |= 1 << view.position_of_base[table.base_index(pos)]
-    return view, Ideal(view, rest_mask)
+    view = table.base.subsystem_view(delta)
+    return view, view.mask_from(table, mask)

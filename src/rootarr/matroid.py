@@ -23,9 +23,9 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
-from .rootsystem import RootSystem, _bits
+from .rootsystem import RootSystem, _bits, _echelon, _mask_of, _reduce, _span_mask
 
 
 @dataclass(frozen=True)
@@ -43,45 +43,19 @@ class Flat:
         return tuple(_bits(self.members))
 
 
-def _reduce(rows: list[tuple[int, tuple[int, ...]]], v: Sequence[int]):
-    """Fraction-free reduction of v against echelon rows (pivot, row)."""
-    v = list(v)
-    for piv, row in rows:
-        c = v[piv]
-        if c:
-            lead = row[piv]
-            for t in range(len(v)):
-                v[t] = lead * v[t] - c * row[t]
-    return v
-
-
-def _echelon(vectors: Iterable[Sequence[int]]) -> list[tuple[int, tuple[int, ...]]]:
-    rows: list[tuple[int, tuple[int, ...]]] = []
-    for v in vectors:
-        r = _reduce(rows, v)
-        piv = next((t for t, x in enumerate(r) if x), None)
-        if piv is not None:
-            if r[piv] < 0:
-                r = [-x for x in r]
-            rows.append((piv, tuple(r)))
-    return rows
-
-
 class Arrangement:
     """A set of pairwise non-parallel root vectors with matroid operations.
 
     ``ground`` holds root indices of the ambient system.  Distinct positive
     roots are never parallel, so any subset of them qualifies.  Instances
-    are immutable; closure tables, flats and the characteristic polynomial
-    are memoized lazily.
+    are immutable apart from memo caches, which never change a result:
+    the rank, flats and the characteristic polynomial are memoized lazily.
     """
 
     def __init__(self, system: RootSystem, ground: Iterable[int]):
         self.system = system
         self.ground = tuple(sorted(set(ground)))
-        self.ground_mask = 0
-        for i in self.ground:
-            self.ground_mask |= 1 << i
+        self.ground_mask = _mask_of(self.ground)
         self._flats: tuple[Flat, ...] | None = None
         self._chi: tuple[int, ...] | None = None
         self._rank: int | None = None
@@ -114,11 +88,7 @@ class Arrangement:
         """All ground vectors in the rational span of the subset."""
         s = self._check_subset(subset)
         rows = _echelon(self._vec(i) for i in s)
-        members = 0
-        for i in self.ground:
-            if not any(_reduce(rows, self._vec(i))):
-                members |= 1 << i
-        return Flat(members, len(rows))
+        return Flat(_span_mask(rows, self.system.coords) & self.ground_mask, len(rows))
 
     def _pair_mask(self, i: int, j: int) -> int:
         return self.system.pair_span_mask(i, j) & self.ground_mask
@@ -172,10 +142,7 @@ class Arrangement:
 
     def two_closure(self, subset: Iterable[int]) -> frozenset[int]:
         s = self._check_subset(subset)
-        mask = 0
-        for i in s:
-            mask |= 1 << i
-        return frozenset(_bits(self.two_closure_mask(mask)))
+        return frozenset(_bits(self.two_closure_mask(_mask_of(s))))
 
     def is_line_closed(self) -> tuple[bool, frozenset[int] | None]:
         """Decide line-closedness; on failure also return a witness.
@@ -249,10 +216,7 @@ class Arrangement:
     def line_closed_by_definition(self) -> tuple[bool, frozenset[int] | None]:
         """Oracle: enumerate all 2-closed subsets and test each for flatness."""
         for s in self.two_closed_subsets():
-            mask = 0
-            for i in s:
-                mask |= 1 << i
-            if not self.is_flat_mask(mask):
+            if not self.is_flat_mask(_mask_of(s)):
                 return False, s
         return True, None
 
@@ -308,9 +272,8 @@ def _system_flats(system: RootSystem) -> tuple[tuple[int, int], ...]:
     Level search: rank-(k+1) flats are closures of a rank-k flat plus one
     more vector; rank-2 flats come straight from the pair-span table.
     """
-    cached = getattr(system, "_full_flats", None)
-    if cached is not None:
-        return cached
+    if system._full_flats is not None:
+        return system._full_flats
     n = system.nroots
     all_roots = range(n)
     out: list[tuple[int, int]] = [(0, 0)]
@@ -333,47 +296,13 @@ def _system_flats(system: RootSystem) -> tuple[tuple[int, int], ...]:
                 if red[piv] < 0:
                     red = [-x for x in red]
                 rows2 = rows + [(piv, tuple(red))]
-                members = 0
-                for q in all_roots:
-                    if not any(_reduce(rows2, system.coords[q])):
-                        members |= 1 << q
+                members = _span_mask(rows2, system.coords)
                 if members not in nxt:
                     nxt[members] = rows2
         for m in sorted(nxt):
             out.append((m, k + 1))
         level = nxt
         k += 1
-    result = tuple(out)
-    system._full_flats = result
-    return result
+    system._full_flats = tuple(out)
+    return system._full_flats
 
-
-# -- functional aliases mirroring the operation names ----------------------
-
-
-def closure(arrangement: Arrangement, subset: Iterable[int]) -> Flat:
-    return arrangement.closure(subset)
-
-
-def rank(arrangement: Arrangement, subset: Iterable[int] | None = None) -> int:
-    return arrangement.rank(subset)
-
-
-def two_flats(arrangement: Arrangement) -> list[Flat]:
-    return arrangement.two_flats()
-
-
-def independent_sets(arrangement: Arrangement, max_size: int) -> Iterator[tuple[int, ...]]:
-    return arrangement.independent_sets(max_size)
-
-
-def two_closure(arrangement: Arrangement, subset: Iterable[int]) -> frozenset[int]:
-    return arrangement.two_closure(subset)
-
-
-def is_line_closed(arrangement: Arrangement) -> tuple[bool, frozenset[int] | None]:
-    return arrangement.is_line_closed()
-
-
-def characteristic_polynomial(arrangement: Arrangement) -> tuple[int, ...]:
-    return arrangement.characteristic_polynomial()

@@ -39,10 +39,11 @@ exceeds 9 (not reachable for the supported types, but guarded).
 
 from __future__ import annotations
 
+import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 ADMISSIBLE_RANKS = {
     "A": range(1, 9),
@@ -145,20 +146,46 @@ def _symmetrizer(C: Sequence[Sequence[int]]) -> tuple[int, ...]:
                 pending.append(j)
     # Supported diagrams are connected, so every d[j] is set.
     assert all(x is not None for x in d)
-    denom_lcm = 1
-    for x in d:
-        denom_lcm = denom_lcm * x.denominator // _gcd(denom_lcm, x.denominator)
+    denom_lcm = math.lcm(*(x.denominator for x in d))
     scaled = [int(x * denom_lcm) for x in d]
-    g = 0
-    for x in scaled:
-        g = _gcd(g, x)
+    g = math.gcd(*scaled)
     return tuple(x // g for x in scaled)
 
 
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
+def _reduce(rows: list[tuple[int, tuple[int, ...]]], v: Sequence[int]):
+    """Fraction-free reduction of v against echelon rows (pivot, row)."""
+    v = list(v)
+    for piv, row in rows:
+        c = v[piv]
+        if c:
+            lead = row[piv]
+            for t in range(len(v)):
+                v[t] = lead * v[t] - c * row[t]
+    return v
+
+
+def _echelon(vectors: Iterable[Sequence[int]]) -> list[tuple[int, tuple[int, ...]]]:
+    """Integer echelon rows (pivot, row) spanning the given vectors."""
+    rows: list[tuple[int, tuple[int, ...]]] = []
+    for v in vectors:
+        r = _reduce(rows, v)
+        piv = next((t for t, x in enumerate(r) if x), None)
+        if piv is not None:
+            if r[piv] < 0:
+                r = [-x for x in r]
+            rows.append((piv, tuple(r)))
+    return rows
+
+
+def _span_mask(
+    rows: list[tuple[int, tuple[int, ...]]], vectors: Sequence[Sequence[int]]
+) -> int:
+    """Bitmask of the positions in ``vectors`` that lie in the rows' span."""
+    mask = 0
+    for k, w in enumerate(vectors):
+        if not any(_reduce(rows, w)):
+            mask |= 1 << k
+    return mask
 
 
 class _RootTable:
@@ -166,7 +193,8 @@ class _RootTable:
 
     Holds the positive roots as coordinate vectors over the table's own
     simple basis, plus the componentwise order, heights, covers, and the
-    bitmask helpers every other module builds on.  Immutable once built.
+    bitmask helpers every other module builds on.  Immutable once built,
+    apart from memo caches, which never change a result.
     """
 
     rank: int
@@ -203,11 +231,6 @@ class _RootTable:
                 simple[v.index(1)] = i
         assert all(s is not None for s in simple)
         self.simple_positions = tuple(simple)
-        # coord_masks[k]: roots whose k-th coordinate is >= 1.
-        self.coord_masks = tuple(
-            sum(1 << i for i, v in enumerate(self.coords) if v[k] >= 1)
-            for k in range(n)
-        )
         self.full_mask = (1 << m) - 1
         self._ss_memo: dict[int, object] = {}
         self._peel_memo: dict[int, object] = {}
@@ -218,28 +241,8 @@ class _RootTable:
         """Componentwise order: root_i <= root_j."""
         return bool(self.down_masks[j] >> i & 1)
 
-    def downward_close(self, mask: int) -> int:
-        out = 0
-        rest = mask
-        while rest:
-            i = (rest & -rest).bit_length() - 1
-            out |= self.down_masks[i]
-            rest &= rest - 1
-        return out
-
     def is_downward_closed(self, mask: int) -> bool:
-        return self.downward_close(mask) == mask
-
-    def minimal_positions(self, mask: int) -> list[int]:
-        """Minimal elements of the sub-poset induced on ``mask``."""
-        out = []
-        rest = mask
-        while rest:
-            i = (rest & -rest).bit_length() - 1
-            if self.down_masks[i] & mask == 1 << i:
-                out.append(i)
-            rest &= rest - 1
-        return out
+        return all(self.down_masks[i] & ~mask == 0 for i in _bits(mask))
 
     def is_chain_mask(self, mask: int) -> bool:
         """Whether the roots in ``mask`` are totally ordered."""
@@ -247,9 +250,6 @@ class _RootTable:
         return all(
             self.leq(a, b) for a, b in zip(members, members[1:])
         )
-
-    def mask_members(self, mask: int) -> tuple[int, ...]:
-        return tuple(_bits(mask))
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -259,26 +259,19 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-@dataclass(frozen=True)
-class RootPoset:
-    """The componentwise order on positive roots of one table.
-
-    ``covers`` lists (lower, upper) index pairs whose difference is a simple
-    root; ``heights`` is the coordinate sum per root.
-    """
-
-    covers: tuple[tuple[int, int], ...]
-    heights: tuple[int, ...]
-    down_masks: tuple[int, ...] = field(repr=False)
-
-    def leq(self, i: int, j: int) -> bool:
-        return bool(self.down_masks[j] >> i & 1)
+def _mask_of(indices: Iterable[int]) -> int:
+    """The bitmask with the given bits set; the inverse of :func:`_bits`."""
+    mask = 0
+    for i in indices:
+        mask |= 1 << i
+    return mask
 
 
 class RootSystem(_RootTable):
     """Positive roots, Cartan data and the symmetrized bilinear form.
 
-    Immutable after construction and safe to share across workers.  Use
+    Immutable after construction, apart from memo caches, which never
+    change a result; safe to share across workers.  Use
     :func:`build_root_system` to construct one.
     """
 
@@ -294,18 +287,17 @@ class RootSystem(_RootTable):
             for i in range(self.rank)
         )
         self._finish(self._generate_roots())
-        self.dynkin_edges = tuple(
-            (i, j)
-            for i in range(self.rank)
-            for j in range(i + 1, self.rank)
-            if self.cartan[i][j] != 0
-        )
         self._neighbours = tuple(
             tuple(j for j in range(self.rank) if j != i and self.cartan[i][j] != 0)
             for i in range(self.rank)
         )
         self._pair_span: dict[tuple[int, int], int] = {}
         self._views: dict[tuple[int, ...], "object"] = {}
+        # Filled by matroid._system_flats, classify._arr and
+        # classify._generic_search respectively.
+        self._full_flats: tuple[tuple[int, int], ...] | None = None
+        self._arrangements: dict[int, "object"] = {}
+        self._generic_ss_memo: dict[int, object] = {}
 
     # -- construction ----------------------------------------------------
 
@@ -357,9 +349,6 @@ class RootSystem(_RootTable):
         c = self._pairing(tuple(v), i)
         return tuple(x - c if k == i else x for k, x in enumerate(v))
 
-    def dynkin_degree(self, i: int) -> int:
-        return len(self._neighbours[i])
-
     def dynkin_neighbours(self, i: int) -> tuple[int, ...]:
         return self._neighbours[i]
 
@@ -370,10 +359,6 @@ class RootSystem(_RootTable):
             (-self.cartan[i][j] for i in range(self.rank) for j in range(self.rank) if i != j),
             default=1,
         ) or 1
-
-    def simple_root_index(self, i: int) -> int:
-        """Root index of the i-th simple root (0-based Dynkin numbering)."""
-        return self.simple_positions[i]
 
     def base_index(self, pos: int) -> int:
         return pos
@@ -398,24 +383,7 @@ class RootSystem(_RootTable):
         got = self._pair_span.get(key)
         if got is not None:
             return got
-        u, v = self.coords[i], self.coords[j]
-        # Two coordinate positions where (u, v) is invertible.
-        piv = None
-        for a in range(self.rank):
-            for b in range(a + 1, self.rank):
-                if u[a] * v[b] - u[b] * v[a] != 0:
-                    piv = (a, b, u[a] * v[b] - u[b] * v[a])
-                    break
-            if piv:
-                break
-        assert piv is not None
-        a, b, det = piv
-        mask = 0
-        for k, w in enumerate(self.coords):
-            x_num = w[a] * v[b] - w[b] * v[a]
-            y_num = u[a] * w[b] - u[b] * w[a]
-            if all(u[t] * x_num + v[t] * y_num == w[t] * det for t in range(self.rank)):
-                mask |= 1 << k
+        mask = _span_mask(_echelon((self.coords[i], self.coords[j])), self.coords)
         self._pair_span[key] = mask
         return mask
 
@@ -445,11 +413,6 @@ def build_root_system(label: TypeLabel | str) -> RootSystem:
     if isinstance(label, str):
         label = TypeLabel.parse(label)
     return RootSystem(label)
-
-
-def root_poset(rs: _RootTable) -> RootPoset:
-    """The componentwise order on the table's positive roots."""
-    return RootPoset(rs.cover_pairs, rs.heights, rs.down_masks)
 
 
 def inner_product(rs: RootSystem, i: int, j: int) -> Fraction:

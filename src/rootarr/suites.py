@@ -28,8 +28,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .rootsystem import RootSystem, _bits, format_root
-from .ideals import Ideal, enumerate_ideals, g_set_mask
+from .rootsystem import RootSystem, _bits, _mask_of, format_root
+from .ideals import Ideal, ab_pairs, enumerate_ideals, g_set_mask
 from .classify import (
     _arr,
     chain_peeling,
@@ -144,14 +144,12 @@ def _top_block_candidates(rs: RootSystem, ideal: Ideal):
         yield ("F", k, frozenset(_bits(mask & rs.up_masks[rs.simple_positions[k]])))
     for x, k1 in enumerate(present):
         for k2 in present[x + 1 :]:
-            for v in rs.coords:
-                if v[k1] >= 1 and v[k2] >= 1 and sum(v) == v[k1] + v[k2]:
-                    a, b = v[k1], v[k2]
-                    yield (
-                        "G",
-                        (k1, k2, a, b),
-                        frozenset(_bits(g_set_mask(rs, mask, k1, k2, a, b))),
-                    )
+            for a, b in ab_pairs(rs, k1, k2):
+                yield (
+                    "G",
+                    (k1, k2, a, b),
+                    frozenset(_bits(g_set_mask(rs, mask, k1, k2, a, b))),
+                )
 
 
 def suite_twocases(rs: RootSystem) -> SuiteResult:
@@ -166,10 +164,7 @@ def suite_twocases(rs: RootSystem) -> SuiteResult:
             if candidate != top:
                 continue
             if kind == "F":
-                bmask = 0
-                for i in top:
-                    bmask |= 1 << i
-                if rs.is_chain_mask(bmask):
+                if rs.is_chain_mask(_mask_of(top)):
                     break
             else:
                 break
@@ -244,9 +239,7 @@ def suite_line_closed_oracle(rs: RootSystem) -> SuiteResult:
                 f"{fast} vs definition {slow}"
             )
         elif not fast:
-            wmask = 0
-            for i in witness:
-                wmask |= 1 << i
+            wmask = _mask_of(witness)
             if arr.two_closure_mask(wmask) != wmask or arr.is_flat_mask(wmask):
                 res.failures.append(
                     f"ideal {ideal.coordinate_strings()}: returned witness is not "

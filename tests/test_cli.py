@@ -6,6 +6,8 @@ import json
 
 import pytest
 
+import rootarr
+from rootarr import cli
 from rootarr.cli import main
 
 
@@ -85,6 +87,11 @@ def test_classify_unknown_root_exit_2(capsys):
     assert code == 2 and "error" in err
 
 
+def test_classify_names_the_bad_generator(capsys):
+    code, _, err = run(capsys, "classify", "--type", "D4", "--ideal", "1110,9999")
+    assert code == 2 and "'9999'" in err and "1110,9999" not in err
+
+
 # -- survey --------------------------------------------------------------------
 
 
@@ -125,6 +132,30 @@ def test_survey_parallel_matches_serial(tmp_path, capsys):
     assert ra["records"] == rb["records"]
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_survey_rejects_jobs_below_one(capsys, jobs):
+    code, out, err = run(capsys, "survey", "--type", "A2", "--jobs", jobs)
+    assert code == 2 and jobs in err and not out
+
+
+def test_survey_worker_crash_names_the_ideal(capsys, monkeypatch):
+    rs = cli._load_system("A2")
+    full = rs.full_mask
+    real = cli.classify_ideal
+
+    def flaky(ideal):
+        if ideal.mask == full:
+            raise KeyError("boom")
+        return real(ideal)
+
+    monkeypatch.setattr(cli, "classify_ideal", flaky)
+    with pytest.raises(RuntimeError) as exc:
+        run(capsys, "survey", "--type", "A2")
+    message = str(exc.value)
+    assert "KeyError" in message and "'11'" in message and "A2" in message
+    assert isinstance(exc.value.__cause__, KeyError)
+
+
 def test_survey_rank7_needs_force(capsys):
     code, _, err = run(capsys, "survey", "--type", "E7")
     assert code == 2 and "--force" in err
@@ -157,6 +188,18 @@ def test_survey_cache_roundtrip(tmp_path, capsys, monkeypatch):
     run(capsys, "survey", "--type", "B2", "--out", str(b))
     ra, rb = json.loads(a.read_text()), json.loads(b.read_text())
     assert ra["records"] == rb["records"]
+    assert not list((tmp_path / "cache").glob(".*.tmp"))
+
+
+def test_survey_cache_ignores_other_source_digest(tmp_path, monkeypatch):
+    monkeypatch.setenv("ROOTARR_CACHE_DIR", str(tmp_path))
+    current = cli._source_digest
+    monkeypatch.setattr(cli, "_source_digest", lambda: "0" * 64)
+    # an empty record list stands for records other code produced
+    cli._cache_path("B2").write_text(json.dumps({"results": []}))
+    assert cli.run_survey("B2")["ideal_count"] == 0
+    monkeypatch.setattr(cli, "_source_digest", current)
+    assert cli.run_survey("B2")["ideal_count"] == 6
 
 
 # -- verify ----------------------------------------------------------------------
@@ -183,6 +226,10 @@ def test_verify_all_default_types(capsys):
     code, out, _ = run(capsys, "verify")
     assert code == 0
     assert "FAIL" not in out
+
+
+def test_every_exported_name_resolves():
+    assert all(hasattr(rootarr, name) for name in rootarr.__all__)
 
 
 def test_version_flag(capsys):

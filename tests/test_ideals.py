@@ -24,6 +24,7 @@ from rootarr import (
 )
 from rootarr.ideals import f4_height4_mask
 from conftest import get_system
+from test_matroid import frac_rank
 
 
 def naive_ideal_masks(rs) -> set[int]:
@@ -286,6 +287,37 @@ def test_restriction_of_every_ideal_is_an_ideal(label):
                 p1, p2 = rs.simple_positions[k1], rs.simple_positions[k2]
                 for a, b in candidate_ab_pairs(rs, p1, p2):
                     restrict_without_g(ideal, p1, p2, a, b)  # validates internally
+
+
+@pytest.mark.parametrize("label", ["A5", "B4", "D5", "F4", "G2", "E6"])
+def test_restriction_view_coordinates_recombine(label):
+    # each view root's coordinates rebuild its parent vector over the
+    # spanning roots, and the view holds exactly the parent roots in the span
+    rs = get_system(label)
+    full = Ideal(rs, rs.full_mask)
+    for k1 in range(rs.rank):
+        for k2 in range(k1 + 1, rs.rank):
+            p1, p2 = rs.simple_positions[k1], rs.simple_positions[k2]
+            for a, b in candidate_ab_pairs(rs, p1, p2):
+                view, _ = restrict_without_g(full, p1, p2, a, b)
+                delta = [rs.coords[d] for d in view.delta_base]
+                for pos, c in enumerate(view.coords):
+                    combo = tuple(
+                        sum(cj * d[t] for cj, d in zip(c, delta)) for t in range(rs.rank)
+                    )
+                    assert combo == rs.coords[view.parent_indices[pos]]
+                in_span = {
+                    i
+                    for i, v in enumerate(rs.coords)
+                    if frac_rank(delta + [v]) == len(delta)
+                }
+                assert set(view.parent_indices) == in_span
+
+
+def test_subsystem_view_rejects_dependent_spanning_set():
+    rs = get_system("A2")
+    with pytest.raises(ValueError):
+        rs.subsystem_view([parse_root(rs, "10"), parse_root(rs, "01"), parse_root(rs, "11")])
 
 
 # -- bad ideals -----------------------------------------------------------------------

@@ -20,7 +20,6 @@ from rootarr import (
     parse_root,
     rank2_subsystem,
     reflect,
-    root_poset,
 )
 from conftest import get_system
 
@@ -262,7 +261,7 @@ def test_reflection_examples():
 def test_simple_reflections_permute_other_positives(label):
     rs = get_system(label)
     for k in range(rs.rank):
-        alpha = rs.simple_root_index(k)
+        alpha = rs.simple_positions[k]
         images = set()
         for g in range(rs.nroots):
             sign, idx = reflect(rs, alpha, g)
@@ -320,7 +319,7 @@ def test_rank2_subsystem_f4_contains_eta_sum():
     assert got == frozenset(_bruteforce_span_members(rs, i, j))
 
 
-@pytest.mark.parametrize("label", ["A3", "B3", "D4", "G2"])
+@pytest.mark.parametrize("label", ["A3", "B3", "D4", "G2", "F4", "E6"])
 def test_rank2_subsystem_agrees_with_bruteforce(label):
     rs = get_system(label)
     for i in range(rs.nroots):
@@ -348,48 +347,44 @@ def test_subsystem_lacing_never_exceeds_parent(label):
 
 def test_poset_a2_covers():
     rs = get_system("A2")
-    poset = root_poset(rs)
-    named = {(format_root(rs, a), format_root(rs, b)) for a, b in poset.covers}
+    named = {(format_root(rs, a), format_root(rs, b)) for a, b in rs.cover_pairs}
     assert named == {("10", "11"), ("01", "11")}
 
 
 def test_poset_d4_1111_covered_only_by_1211():
     rs = get_system("D4")
-    poset = root_poset(rs)
     i = parse_root(rs, "1111")
-    uppers = [b for a, b in poset.covers if a == i]
+    uppers = [b for a, b in rs.cover_pairs if a == i]
     assert [format_root(rs, b) for b in uppers] == ["1211"]
 
 
 def test_poset_f4_height3_roots_covered_twice():
     rs = get_system("F4")
-    poset = root_poset(rs)
     for name in ["1110", "0210", "0111"]:
         i = parse_root(rs, name)
-        assert sum(1 for a, _ in poset.covers if a == i) == 2
+        assert sum(1 for a, _ in rs.cover_pairs if a == i) == 2
 
 
 @pytest.mark.parametrize("label", ALL_TYPES)
 def test_cover_height_consistency(label):
     # every cover raises height by one and differs by a simple root
     rs = get_system(label)
-    poset = root_poset(rs)
-    for a, b in poset.covers:
-        assert poset.heights[b] == poset.heights[a] + 1
+    for a, b in rs.cover_pairs:
+        assert rs.heights[b] == rs.heights[a] + 1
         diff = tuple(x - y for x, y in zip(rs.coords[b], rs.coords[a]))
         assert sum(diff) == 1 and all(x in (0, 1) for x in diff)
     # the order is the reflexive-transitive closure of the covers
     above = [set() for _ in range(rs.nroots)]
-    for a, b in poset.covers:
+    for a, b in rs.cover_pairs:
         above[a].add(b)
     reach = [None] * rs.nroots
-    for i in sorted(range(rs.nroots), key=lambda x: -poset.heights[x]):
+    for i in sorted(range(rs.nroots), key=lambda x: -rs.heights[x]):
         acc = {i}
         for b in above[i]:
             acc |= reach[b]
         reach[i] = acc
     for i in range(rs.nroots):
-        assert reach[i] == {j for j in range(rs.nroots) if poset.leq(i, j)}
+        assert reach[i] == {j for j in range(rs.nroots) if rs.leq(i, j)}
 
 
 @pytest.mark.parametrize("label", ALL_TYPES)
