@@ -4,12 +4,14 @@ Exit codes: 0 on success, 1 when a property suite or the predicate
 equivalence fails, 2 on usage errors (unknown type, unparsable roots).
 
 Surveys classify every ideal of a type and write a JSON report
-(``schema: 1``); identical invocations produce byte-identical output
+(``schema: 2``); identical invocations produce byte-identical output
 except for the ``timing_seconds`` field.  Types of rank 7 and up are
 refused without ``--force`` (an E8 survey classifies 25080 ideals of up to
 120 roots; expect hours, not minutes).  If ``ROOTARR_CACHE_DIR`` is set,
 survey records are persisted there per (type, schema, source digest) and
-reused; the digest covers the package's modules.
+reused; the digest covers the package's modules, and storing a type's
+records removes that type's files written under any other schema or
+digest.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from .classify import (
 )
 from .suites import SUITES
 
-SCHEMA = 1
+SCHEMA = 2
 
 
 def _err(msg: str) -> None:
@@ -210,6 +212,9 @@ def _cache_store(type_str: str, results) -> None:
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
+    for stale in path.parent.glob(f"survey-{type_str}-schema*-*.json"):
+        if stale != path:
+            stale.unlink(missing_ok=True)
 
 
 def _write_csv(report: dict, stream) -> None:
@@ -241,7 +246,7 @@ def cmd_survey(args) -> int:
         _err(
             f"{label} has rank {label.rank}; surveys default to rank <= 6 "
             "(pass --force if you really want this; E7 has 4160 ideals, E8 25080, "
-            "and line-closedness checks grow steeply with the root count)"
+            "and the flat lattice and line-closedness grow steeply with the root count)"
         )
         return 2
     report = run_survey(str(label), jobs=args.jobs, log_greedy=args.log_greedy)

@@ -5,18 +5,25 @@ are positive roots of one system, identified by root index.  Everything is
 computed with fraction-free integer elimination on the coordinate vectors,
 so closures, ranks, flats and the characteristic polynomial are exact.
 
-The line-closedness decision reduces to independent sets: an arrangement
-fails to be line-closed iff some independent set B has a strictly smaller
-2-closure than closure.  Sufficiency: if S is 2-closed but not a flat, pick
-a maximal independent B inside S; then the 2-closure of B is contained in S
-while the closure of B equals the closure of S, which exceeds S.
-Conversely, if an independent B has 2-closure smaller than its closure,
-that 2-closure is itself a 2-closed non-flat (any flat containing B
-contains all of closure(B)).  Independent sets of size one and two always
-pass (singletons are flats; the 2-closure of a pair already is its
-closure), so only sizes three and up are scanned.  A direct
-smallest-first enumeration of all 2-closed subsets is kept alongside as an
-independent oracle.
+An arrangement is line-closed iff every 2-closed subset is a flat, and
+this is decided by a walk over 2-closed states, level by level in rank.
+The rank-2 states are the pair spans, which are flats.  From a state S
+that is a flat, every ground root v outside S gives the state
+cl2(S + v), which has rank one more than S; states already reached are
+skipped, so the walk visits at most one state per flat, and it stops at
+the first state that is not a flat.  It is complete: if the arrangement
+is not line-closed, some independent set B = b1..bk has a 2-closure that
+is not a flat (take a maximal independent set inside a 2-closed non-flat
+S: its 2-closure lies in S while its closure is the closure of S, which
+exceeds S).  Take the shortest prefix of B whose 2-closure is not a flat.
+The 2-closure F of the prefix one shorter is a flat, hence its closure,
+and by induction a state of the walk; as cl2(cl2(X) + v) = cl2(X + v),
+the walk reaches the failing 2-closure as cl2(F + b) or stops earlier.
+Independent sets of size one and two always pass (singletons are flats;
+the 2-closure of a pair already is its closure), so arrangements of rank
+below three are line-closed.  A direct smallest-first enumeration of all
+2-closed subsets, with its own from-scratch 2-closure, is kept alongside
+as an independent oracle.
 """
 
 from __future__ import annotations
@@ -147,42 +154,49 @@ class Arrangement:
     def is_line_closed(self) -> tuple[bool, frozenset[int] | None]:
         """Decide line-closedness; on failure also return a witness.
 
-        Scans independent sets of sizes 3..rank and compares the 2-closure
-        with the closure (see the module docstring for why this decides the
-        property).  The witness is a 2-closed subset that is not a flat.
+        Walks the 2-closed states level by level in rank; the module
+        docstring explains why the walk is complete.  Rank-2 states are
+        the distinct pair spans; a rank-(k+1) state is the 2-closure of a
+        rank-k state plus one ground root outside it, grown only from the
+        new roots through a pair-span table built for this call.  A new
+        state is a flat iff no ground root outside it reduces to zero
+        against its echelon rows.  The witness is the first new state that
+        is not a flat, in the order rank level, parent mask, added root,
+        so it is the same on every run.
         """
         r = self.rank()
         if r < 3:
             return True, None
-        g = self.ground
-
-        def rec(start, rows, tc, size):
-            for p in range(start, len(g)):
-                i = g[p]
-                v = _reduce(rows, self._vec(i))
-                piv = next((t for t, x in enumerate(v) if x), None)
-                if piv is None:
-                    continue
-                rows2 = rows + [(piv, tuple(v))]
-                tc2 = self.two_closure_mask(tc | 1 << i)
-                if size + 1 >= 3:
-                    # any ground vector in span(rows2) but outside tc2
-                    # witnesses that tc2 is 2-closed yet not a flat
-                    for q in self.ground:
-                        if tc2 >> q & 1:
-                            continue
-                        if not any(_reduce(rows2, self._vec(q))):
-                            return tc2
-                if size + 1 < r:
-                    bad = rec(p + 1, rows2, tc2, size + 1)
-                    if bad is not None:
-                        return bad
-            return None
-
-        bad = rec(0, [], 0, 0)
-        if bad is None:
-            return True, None
-        return False, frozenset(_bits(bad))
+        g, gm, coords = self.ground, self.ground_mask, self.system.coords
+        pair: list[list[int]] = [[] for _ in coords]
+        for i in g:
+            row = pair[i] = [0] * len(coords)
+            for j in g:
+                if j != i:
+                    row[j] = self._pair_mask(i, j)
+        level: dict[int, list[tuple[int, tuple[int, ...]]]] = {}
+        for a, i in enumerate(g):
+            for j in g[a + 1 :]:
+                if pair[i][j] not in level:
+                    level[pair[i][j]] = _echelon((coords[i], coords[j]))
+        for _ in range(3, r + 1):
+            nxt: dict[int, list[tuple[int, tuple[int, ...]]]] = {}
+            for state in sorted(level):
+                rows, members = level[state], list(_bits(state))
+                for v in g:
+                    if state >> v & 1:
+                        continue
+                    grown = _grow_two_closure(pair, state, members, v)
+                    if grown in nxt:
+                        continue
+                    red = _reduce(rows, coords[v])
+                    piv = next(t for t, x in enumerate(red) if x)
+                    nxt[grown] = rows + [(piv, tuple(red))]
+                    outside = [coords[q] for q in _bits(gm & ~grown)]
+                    if _span_mask(nxt[grown], outside):
+                        return False, frozenset(_bits(grown))
+            level = nxt
+        return True, None
 
     def two_closed_subsets(self) -> Iterator[frozenset[int]]:
         """Enumerate every 2-closed subset, smallest first (oracle-grade).
@@ -190,11 +204,15 @@ class Arrangement:
         Grows 2-closures element by element with deduplication; expensive
         on large non-line-closed grounds, intended for cross-checks.
         """
+        for mask in self._two_closed_masks():
+            yield frozenset(_bits(mask))
+
+    def _two_closed_masks(self) -> Iterator[int]:
         seen = {0}
         heap: list[tuple[int, int]] = [(0, 0)]
         while heap:
             size, mask = heapq.heappop(heap)
-            yield frozenset(_bits(mask))
+            yield mask
             for i in self.ground:
                 if mask >> i & 1:
                     continue
@@ -215,9 +233,9 @@ class Arrangement:
 
     def line_closed_by_definition(self) -> tuple[bool, frozenset[int] | None]:
         """Oracle: enumerate all 2-closed subsets and test each for flatness."""
-        for s in self.two_closed_subsets():
-            if not self.is_flat_mask(_mask_of(s)):
-                return False, s
+        for mask in self._two_closed_masks():
+            if not self.is_flat_mask(mask):
+                return False, frozenset(_bits(mask))
         return True, None
 
     # -- flats and the characteristic polynomial ---------------------------
@@ -264,6 +282,29 @@ class Arrangement:
 
     def __repr__(self) -> str:
         return f"Arrangement({self.system.label}, {len(self.ground)} vectors)"
+
+
+def _grow_two_closure(pair: list[list[int]], state: int, members: list[int], v: int) -> int:
+    """The 2-closure of a 2-closed ``state`` (bits ``members``) plus root ``v``.
+
+    ``pair[x][y]`` is the trace of the span of roots x and y on the ground
+    set.  Pairs inside ``state`` are already closed, so only pairs with a
+    newly added root are examined.
+    """
+    out = state | 1 << v
+    new = [v]
+    for x in new:  # also visits the roots appended below
+        row = pair[x]
+        acc = 0
+        for y in members:
+            acc |= row[y]
+        for y in new:
+            acc |= row[y]
+        add = acc & ~out
+        if add:
+            out |= add
+            new.extend(_bits(add))
+    return out
 
 
 def _system_flats(system: RootSystem) -> tuple[tuple[int, int], ...]:

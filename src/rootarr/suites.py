@@ -20,8 +20,9 @@ went wrong:
 * ``exponents-vs-chi``: for supersolvable ideals the characteristic
   polynomial equals the product of (t - block size), and the peeling and
   supersolving certificates carry the same block-size multiset.
-* ``line-closed-oracle``: the independent-set decision for line-closedness
-  agrees with direct enumeration of all 2-closed subsets.
+* ``line-closed-oracle``: the walk over 2-closed states that decides
+  line-closedness agrees with direct enumeration of all 2-closed subsets,
+  and its witness is 2-closed and not a flat.
 """
 
 from __future__ import annotations
@@ -235,7 +236,7 @@ def suite_line_closed_oracle(rs: RootSystem) -> SuiteResult:
         slow, oracle_witness = arr.line_closed_by_definition()
         if fast != slow:
             res.failures.append(
-                f"ideal {ideal.coordinate_strings()}: independent-set decision "
+                f"ideal {ideal.coordinate_strings()}: 2-closed-state walk "
                 f"{fast} vs definition {slow}"
             )
         elif not fast:

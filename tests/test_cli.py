@@ -100,7 +100,7 @@ def test_survey_d4(tmp_path, capsys):
     code, _, err = run(capsys, "survey", "--type", "D4", "--out", str(out_file))
     assert code == 0
     report = json.loads(out_file.read_text())
-    assert report["schema"] == 1
+    assert report["schema"] == 2
     assert report["ideal_count"] == 50 == len(report["records"])
     assert report["summary"]["non_supersolvable"] == 3
     assert report["equivalence_ok"] is True
@@ -196,10 +196,14 @@ def test_survey_cache_ignores_other_source_digest(tmp_path, monkeypatch):
     current = cli._source_digest
     monkeypatch.setattr(cli, "_source_digest", lambda: "0" * 64)
     # an empty record list stands for records other code produced
-    cli._cache_path("B2").write_text(json.dumps({"results": []}))
+    old = cli._cache_path("B2")
+    old.write_text(json.dumps({"results": []}))
     assert cli.run_survey("B2")["ideal_count"] == 0
     monkeypatch.setattr(cli, "_source_digest", current)
     assert cli.run_survey("B2")["ideal_count"] == 6
+    # storing the fresh records removes the file of the other digest
+    assert not old.exists()
+    assert [p.name for p in tmp_path.glob("survey-B2-*.json")] == [cli._cache_path("B2").name]
 
 
 # -- verify ----------------------------------------------------------------------

@@ -7,6 +7,8 @@ shares nothing with the library's enumerator beyond the root list.
 
 from __future__ import annotations
 
+from math import comb
+
 import pytest
 
 from rootarr import (
@@ -75,6 +77,30 @@ def test_enumeration_matches_naive_filter(label):
     got = [ideal.mask for ideal in enumerate_ideals(rs)]
     assert len(got) == len(set(got)) == IDEAL_COUNTS[label]
     assert set(got) == naive
+
+
+def w_catalan(label: str) -> int:
+    """The number of ideals of the root poset (Cellini-Papi; Shi)."""
+    family, n = label[0], int(label[1:])
+    if family == "A":
+        return comb(2 * n + 2, n + 1) // (n + 2)
+    if family in "BC":
+        return comb(2 * n, n)
+    if family == "D":
+        return comb(2 * n, n) - comb(2 * n - 2, n - 1)
+    return {"E6": 833, "E7": 4160, "E8": 25080, "F4": 105, "G2": 8}[label]
+
+
+@pytest.mark.parametrize(
+    "label",
+    [f"A{n}" for n in range(1, 8)]
+    + [f"{f}{n}" for f in "BC" for n in range(2, 7)]
+    + [f"D{n}" for n in range(4, 8)]
+    + ["E6", "E7", "E8", "F4", "G2"],
+)
+def test_ideal_count_is_the_w_catalan_number(label):
+    rs = get_system(label)
+    assert sum(1 for _ in enumerate_ideals(rs)) == w_catalan(label)
 
 
 def test_enumeration_is_sorted_and_complete():

@@ -12,8 +12,9 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from rootarr import Arrangement, Ideal, parse_root
+from rootarr import Arrangement, Ideal, build_root_system, parse_root
 from rootarr.ideals import f4_height4_mask
 from conftest import get_system
 
@@ -270,6 +271,33 @@ def test_line_closed_decision_matches_definition(label):
         fast, _ = arr.is_line_closed()
         slow, _ = arr.line_closed_by_definition()
         assert fast == slow
+
+
+@st.composite
+def root_subsets(draw):
+    """A type among D4, F4, B4 and A4 and 3 to 11 of its roots, rarely an ideal."""
+    label = draw(st.sampled_from(["D4", "F4", "B4", "A4"]))
+    n = get_system(label).nroots
+    size = draw(st.integers(3, min(11, n)))
+    return label, sorted(draw(st.permutations(range(n)))[:size])
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(root_subsets())
+def test_line_closed_walk_matches_definition_on_random_subsets(case):
+    label, ground = case
+    rs = get_system(label)
+    arr = Arrangement(rs, ground)
+    ok, witness = arr.is_line_closed()
+    assert ok == arr.line_closed_by_definition()[0]
+    assert (witness is None) == ok
+    if witness is not None:
+        wmask = sum(1 << i for i in witness)
+        assert wmask & ~arr.ground_mask == 0
+        assert arr.two_closure_mask(wmask) == wmask
+        assert not arr.is_flat_mask(wmask)
+    # a fresh system and arrangement, with empty memos, give the same witness
+    assert Arrangement(build_root_system(label), ground).is_line_closed() == (ok, witness)
 
 
 # -- characteristic polynomial ---------------------------------------------------------------
