@@ -22,6 +22,7 @@ algebraic computation.
 
 from __future__ import annotations
 
+import shlex
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -458,12 +459,23 @@ def _bad_ideal(ideal: Ideal) -> Optional[BadIdealWitness]:
     return None  # B/C/G carry no obstruction
 
 
+def _classify_command(ideal: Ideal) -> str:
+    """The ``rootarr classify`` command line for an ideal of a full system.
+
+    The ideal is named by its maximal roots, in root order.
+    """
+    system, mask = ideal.system, ideal.mask
+    top = [format_root(system, i) for i in _bits(mask) if system.up_masks[i] & mask == 1 << i]
+    return f"rootarr classify --type {system.label} --ideal {shlex.quote(','.join(top))}"
+
+
 def classify_ideal(ideal: Ideal) -> ClassificationRecord:
     """Run all predicates on one ideal and assert their agreement.
 
     Raises :class:`EquivalenceViolation` if chain peelability, the two
     supersolvability searches, line-closedness and bad-ideal absence do
-    not all coincide.
+    not all coincide; its message ends with the ``rootarr classify``
+    command that reproduces the disagreement.
     """
     system = ideal.system
     bad = _bad_ideal(ideal)
@@ -482,7 +494,8 @@ def classify_ideal(ideal: Ideal) -> ClassificationRecord:
     }
     if len(set(verdicts.values())) != 1:
         raise EquivalenceViolation(
-            f"predicates disagree on ideal {ideal.coordinate_strings()}: {verdicts}"
+            f"predicates disagree on ideal {ideal.coordinate_strings()}: {verdicts}; "
+            f"reproduce with: {_classify_command(ideal)}"
         )
 
     supersolvable = ss_fast is not None

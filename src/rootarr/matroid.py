@@ -1,9 +1,16 @@
 """Exact linear-algebraic matroid layer over a set of positive roots.
 
 An arrangement is a set of pairwise non-parallel vectors; here the vectors
-are positive roots of one system, identified by root index.  Everything is
-computed with fraction-free integer elimination on the coordinate vectors,
-so closures, ranks, flats and the characteristic polynomial are exact.
+are positive roots of one system, identified by root index.  Closures,
+ranks and flatness tests use fraction-free integer elimination on the
+coordinate vectors, so they and the characteristic polynomial are exact.
+
+The flats of the full positive system are generated without elimination,
+as the W-orbits of the standard parabolic flats (``_system_flats``, which
+argues its completeness); the flats of a subarrangement are their traces
+on its ground set.  Line-closedness, chain peeling and the root-ideal
+supersolvability search do not read these flats, so only the generic
+supersolvability search and the characteristic polynomial depend on them.
 
 An arrangement is line-closed iff every 2-closed subset is a flat, and
 this is decided by a walk over 2-closed states, level by level in rank.
@@ -32,7 +39,7 @@ import heapq
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .rootsystem import RootSystem, _bits, _echelon, _mask_of, _reduce, _span_mask
+from .rootsystem import RootSystem, _bits, _echelon, _mask_of, _reduce, _span_mask, reflect
 
 
 @dataclass(frozen=True)
@@ -198,16 +205,12 @@ class Arrangement:
             level = nxt
         return True, None
 
-    def two_closed_subsets(self) -> Iterator[frozenset[int]]:
-        """Enumerate every 2-closed subset, smallest first (oracle-grade).
+    def _two_closed_masks(self) -> Iterator[int]:
+        """Every 2-closed subset as a mask, smallest first (oracle-grade).
 
         Grows 2-closures element by element with deduplication; expensive
         on large non-line-closed grounds, intended for cross-checks.
         """
-        for mask in self._two_closed_masks():
-            yield frozenset(_bits(mask))
-
-    def _two_closed_masks(self) -> Iterator[int]:
         seen = {0}
         heap: list[tuple[int, int]] = [(0, 0)]
         while heap:
@@ -310,40 +313,35 @@ def _grow_two_closure(pair: list[list[int]], state: int, members: list[int], v: 
 def _system_flats(system: RootSystem) -> tuple[tuple[int, int], ...]:
     """All flats (mask, rank) of the full positive system, cached on it.
 
-    Level search: rank-(k+1) flats are closures of a rank-k flat plus one
-    more vector; rank-2 flats come straight from the pair-span table.
+    The flats are the W-orbits of the standard parabolic flats.  For each
+    subset J of the simple roots, the positive roots whose support lies in
+    J form the flat spanned by J (a root in that span has its support in
+    J), of rank |J|.  A breadth-first search over masks applies the simple
+    reflections, acting on positive-root indices with the sign dropped, and
+    one ``seen`` table across all J merges conjugate J into one orbit.
+    This is complete: W permutes the hyperplanes, so it maps flats to
+    flats of the same rank; and by Steinberg's theorem the roots of a flat
+    (those orthogonal to its intersection subspace) form a parabolic
+    subsystem, which is W-conjugate to some standard one.
     """
     if system._full_flats is not None:
         return system._full_flats
     n = system.nroots
-    all_roots = range(n)
-    out: list[tuple[int, int]] = [(0, 0)]
-    level: dict[int, list[tuple[int, tuple[int, ...]]]] = {}
-    for i in all_roots:
-        m = 1 << i
-        out.append((m, 1))
-        level[m] = _echelon([system.coords[i]])
-    k = 1
-    while level:
-        nxt: dict[int, list[tuple[int, tuple[int, ...]]]] = {}
-        for fmask, rows in level.items():
-            for v in all_roots:
-                if fmask >> v & 1:
-                    continue
-                red = _reduce(rows, system.coords[v])
-                piv = next((t for t, x in enumerate(red) if x), None)
-                if piv is None:
-                    continue  # already in the span (cannot happen for flats)
-                if red[piv] < 0:
-                    red = [-x for x in red]
-                rows2 = rows + [(piv, tuple(red))]
-                members = _span_mask(rows2, system.coords)
-                if members not in nxt:
-                    nxt[members] = rows2
-        for m in sorted(nxt):
-            out.append((m, k + 1))
-        level = nxt
-        k += 1
-    system._full_flats = tuple(out)
+    gens = [[reflect(system, a, g)[1] for g in range(n)] for a in system.simple_positions]
+    support = [_mask_of(t for t, x in enumerate(v) if x) for v in system.coords]
+    seen: dict[int, int] = {}
+    for j in range(1 << system.rank):
+        start = _mask_of(g for g in range(n) if support[g] & ~j == 0)
+        if start in seen:
+            continue
+        rank = j.bit_count()
+        seen[start] = rank
+        orbit = [start]
+        for mask in orbit:  # also visits the masks appended below
+            for perm in gens:
+                image = _mask_of(perm[g] for g in _bits(mask))
+                if image not in seen:
+                    seen[image] = rank
+                    orbit.append(image)
+    system._full_flats = tuple(sorted(seen.items(), key=lambda t: (t[1], t[0])))
     return system._full_flats
-

@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import json
+import shlex
 
 import pytest
 
 import rootarr
-from rootarr import cli
+from rootarr import classify, cli
 from rootarr.cli import main
 
 
@@ -90,6 +91,20 @@ def test_classify_unknown_root_exit_2(capsys):
 def test_classify_names_the_bad_generator(capsys):
     code, _, err = run(capsys, "classify", "--type", "D4", "--ideal", "1110,9999")
     assert code == 2 and "'9999'" in err and "1110,9999" not in err
+
+
+def test_classify_violation_prints_the_reproducing_command(capsys, monkeypatch):
+    monkeypatch.setattr(classify, "chain_peeling", lambda ideal: None)
+    code, out, err = run(capsys, "classify", "--type", "D4", "--ideal", "1100,0100,0110")
+    assert code == 1 and not out
+    assert "predicates disagree" in err
+    command = "rootarr classify --type D4 --ideal 0110,1100"  # maximal roots, root order
+    assert err.rstrip().endswith(command)
+    # without the broken predicate, the printed command classifies the same ideal
+    monkeypatch.undo()
+    code, again, _ = run(capsys, *shlex.split(command)[1:])
+    assert code == 0
+    assert json.loads(again)["ideal"] == ["0010", "0100", "1000", "0110", "1100"]
 
 
 # -- survey --------------------------------------------------------------------

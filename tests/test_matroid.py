@@ -1,8 +1,10 @@
 """Closure, flats, 2-closure, line-closedness and the characteristic polynomial.
 
 Independent oracles: a Fraction-based Gaussian rank function written here,
-the Whitney subset sum for the characteristic polynomial, and witness
-identities checked with direct vector arithmetic.
+the Whitney subset sum for the characteristic polynomial, a level search
+over closures for the system flat lattice, Bell numbers and the classical
+exponents of the Weyl groups, and witness identities checked with direct
+vector arithmetic.
 """
 
 from __future__ import annotations
@@ -16,6 +18,8 @@ from hypothesis import given, settings, strategies as st
 
 from rootarr import Arrangement, Ideal, build_root_system, parse_root
 from rootarr.ideals import f4_height4_mask
+from rootarr.matroid import _system_flats
+from rootarr.rootsystem import _echelon, _reduce, _span_mask
 from conftest import get_system
 
 
@@ -50,6 +54,39 @@ def whitney_chi(arr: Arrangement) -> tuple[int, ...]:
             r = frac_rank([vecs[i] for i in sub])
             coeffs[n - r] += (-1) ** size
     return tuple(coeffs)
+
+
+def level_search_flats(system) -> tuple[tuple[int, int], ...]:
+    """All flats (mask, rank) of the full positive system, by elimination.
+
+    Level search: the rank-(k+1) flats are the closures of a rank-k flat
+    plus one more root.  Ordered by (rank, mask).
+    """
+    n = system.nroots
+    out: list[tuple[int, int]] = [(0, 0)]
+    level = {}
+    for i in range(n):
+        out.append((1 << i, 1))
+        level[1 << i] = _echelon([system.coords[i]])
+    k = 1
+    while level:
+        nxt = {}
+        for fmask, rows in level.items():
+            for v in range(n):
+                if fmask >> v & 1:
+                    continue
+                red = _reduce(rows, system.coords[v])
+                piv = next(t for t, x in enumerate(red) if x)
+                if red[piv] < 0:
+                    red = [-x for x in red]
+                rows2 = rows + [(piv, tuple(red))]
+                members = _span_mask(rows2, system.coords)
+                if members not in nxt:
+                    nxt[members] = rows2
+        out.extend((m, k + 1) for m in sorted(nxt))
+        level = nxt
+        k += 1
+    return tuple(out)
 
 
 def star_ideal(rs) -> Ideal:
@@ -298,6 +335,51 @@ def test_line_closed_walk_matches_definition_on_random_subsets(case):
         assert not arr.is_flat_mask(wmask)
     # a fresh system and arrangement, with empty memos, give the same witness
     assert Arrangement(build_root_system(label), ground).is_line_closed() == (ok, witness)
+
+
+# -- the system flat lattice ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "label",
+    ["A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "B5", "C2", "C3", "C4", "D4", "D5", "F4", "G2"],
+)
+def test_system_flats_match_level_search(label):
+    rs = build_root_system(label)
+    assert _system_flats(rs) == level_search_flats(rs)
+
+
+@pytest.mark.parametrize(
+    "n, bell", [(1, 2), (2, 5), (3, 15), (4, 52), (5, 203), (6, 877), (7, 4140)]
+)
+def test_type_a_flat_count_is_a_bell_number(n, bell):
+    # the flats of A_n are the set partitions of n + 1 points
+    assert len(_system_flats(get_system(f"A{n}"))) == bell
+
+
+def classical_exponents(label: str) -> list[int]:
+    family, n = label[0], int(label[1:])
+    if family == "A":
+        return list(range(1, n + 1))
+    if family in "BC":
+        return list(range(1, 2 * n, 2))
+    if family == "D":
+        return list(range(1, 2 * n - 2, 2)) + [n - 1]
+    return {"E6": [1, 4, 5, 7, 8, 11], "F4": [1, 5, 7, 11], "G2": [1, 5]}[label]
+
+
+@pytest.mark.parametrize(
+    "label",
+    ["A1", "A2", "A3", "A4", "A5", "A6", "B2", "B3", "B4", "B5", "C2", "C3", "C4", "C5"]
+    + ["D4", "D5", "D6", "E6", "F4", "G2"],
+)
+def test_full_arrangement_chi_is_product_over_exponents(label):
+    rs = get_system(label)
+    expected = [1]
+    for m in classical_exponents(label):  # multiply by (t - m), ascending degree
+        expected = [a - m * b for a, b in zip([0] + expected, expected + [0])]
+    chi = Arrangement(rs, range(rs.nroots)).characteristic_polynomial()
+    assert chi == tuple(expected)
 
 
 # -- characteristic polynomial ---------------------------------------------------------------
