@@ -290,10 +290,14 @@ def _print_summary(report: dict) -> None:
 
 def cmd_verify(args) -> int:
     suite_names = args.suite or sorted(SUITES)
-    type_names = [t for t in (args.types or "A2,A3,B2,B3,C3,D4,G2").split(",") if t]
+    types = "A2,A3,B2,B3,C3,D4,G2" if args.types is None else args.types
+    labels = [TypeLabel.parse(t) for t in types.split(",") if t]
+    if not labels:
+        _err("--types names no type")
+        return 2
     failed = False
-    for type_str in type_names:
-        rs = _load_system(type_str)
+    for label in labels:
+        rs = build_root_system(label)
         for name in suite_names:
             result = SUITES[name](rs)
             status = "PASS" if result.ok else "FAIL"

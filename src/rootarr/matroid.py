@@ -31,6 +31,16 @@ the 2-closure of a pair already is its closure), so arrangements of rank
 below three are line-closed.  A direct smallest-first enumeration of all
 2-closed subsets, with its own from-scratch 2-closure, is kept alongside
 as an independent oracle.
+
+That 2-closure (``two_closure_mask``) follows Falk's definition through
+the lines, the rank-2 flats: a set is 2-closed iff it contains every line
+of which it holds two roots.  It equals the pair definition (add the span
+of any two members) because the span of two ground roots, traced on the
+ground set, is the one line through both, and any two distinct roots of a
+line span it.  So the closure sweeps the lines of three or more roots,
+memoized per arrangement, until a sweep adds nothing.  It shares no code
+with the walk's growth from new roots (``_grow_two_closure``); both read
+only ``RootSystem.pair_span_mask``.
 """
 
 from __future__ import annotations
@@ -63,7 +73,8 @@ class Arrangement:
     ``ground`` holds root indices of the ambient system.  Distinct positive
     roots are never parallel, so any subset of them qualifies.  Instances
     are immutable apart from memo caches, which never change a result:
-    the rank, flats and the characteristic polynomial are memoized lazily.
+    the rank, lines, flats and the characteristic polynomial are memoized
+    lazily.
     """
 
     def __init__(self, system: RootSystem, ground: Iterable[int]):
@@ -73,6 +84,7 @@ class Arrangement:
         self._flats: tuple[Flat, ...] | None = None
         self._chi: tuple[int, ...] | None = None
         self._rank: int | None = None
+        self._lines: tuple[int, ...] | None = None
 
     # -- basics ---------------------------------------------------------
 
@@ -140,18 +152,24 @@ class Arrangement:
     # -- 2-closure and line-closedness -------------------------------------
 
     def two_closure_mask(self, mask: int) -> int:
-        """Least 2-closed superset, as a mask; fixpoint over pair closures."""
-        out = mask
-        work = list(_bits(mask))
-        while work:
-            x = work.pop()
-            for y in list(_bits(out)):
-                if y == x:
-                    continue
-                add = self._pair_mask(x, y) & ~out
-                if add:
-                    out |= add
-                    work.extend(_bits(add))
+        """Least 2-closed superset, as a mask; fixpoint over the lines.
+
+        Adds every line (rank-2 flat) that holds two roots of the set,
+        until a sweep adds none.  This is the pair definition: the span of
+        two ground roots, traced on the ground set, is the one line through
+        both, and any two distinct roots of a line span it, as positive
+        roots are never parallel.  Lines of two roots add nothing and are
+        not swept.
+        """
+        if self._lines is None:
+            self._lines = tuple(f.members for f in self.two_flats() if f.members.bit_count() > 2)
+        out, grew = mask, True
+        while grew:
+            grew = False
+            for line in self._lines:
+                if line & ~out and (line & out).bit_count() > 1:
+                    out |= line
+                    grew = True
         return out
 
     def two_closure(self, subset: Iterable[int]) -> frozenset[int]:
@@ -208,8 +226,8 @@ class Arrangement:
     def _two_closed_masks(self) -> Iterator[int]:
         """Every 2-closed subset as a mask, smallest first (oracle-grade).
 
-        Grows 2-closures element by element with deduplication; expensive
-        on large non-line-closed grounds, intended for cross-checks.
+        Grows 2-closures element by element with deduplication; intended
+        for cross-checks.
         """
         seen = {0}
         heap: list[tuple[int, int]] = [(0, 0)]

@@ -247,6 +247,20 @@ def test_verify_all_default_types(capsys):
     assert "FAIL" not in out
 
 
+def test_verify_empty_type_list_exits_2(capsys):
+    code, out, err = run(capsys, "verify", "--types", ",")
+    assert code == 2
+    assert out == ""
+    assert "names no type" in err
+
+
+def test_verify_bad_label_exits_2_before_any_suite(capsys):
+    code, out, err = run(capsys, "verify", "--types", "A2,,X9")
+    assert code == 2
+    assert out == ""  # A2's suites did not run
+    assert "'X9'" in err
+
+
 def test_every_exported_name_resolves():
     assert all(hasattr(rootarr, name) for name in rootarr.__all__)
 

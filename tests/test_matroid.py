@@ -2,9 +2,10 @@
 
 Independent oracles: a Fraction-based Gaussian rank function written here,
 the Whitney subset sum for the characteristic polynomial, a level search
-over closures for the system flat lattice, Bell numbers and the classical
-exponents of the Weyl groups, and witness identities checked with direct
-vector arithmetic.
+over closures for the system flat lattice, Bell numbers, the classical
+exponents of the Weyl groups, the ideal exponents (the dual partition of
+an ideal's height distribution), and witness identities checked with
+direct vector arithmetic.
 """
 
 from __future__ import annotations
@@ -16,10 +17,11 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rootarr import Arrangement, Ideal, build_root_system, parse_root
+from rootarr import Arrangement, Flat, Ideal, build_root_system, enumerate_ideals, parse_root
 from rootarr.ideals import f4_height4_mask
 from rootarr.matroid import _system_flats
 from rootarr.rootsystem import _echelon, _reduce, _span_mask
+from rootarr.suites import poly_from_block_sizes
 from conftest import get_system
 
 
@@ -301,8 +303,6 @@ def test_f4_witness_set_is_2_closed_not_flat():
 @pytest.mark.parametrize("label", ["A3", "B3", "D4", "G2"])
 def test_line_closed_decision_matches_definition(label):
     rs = get_system(label)
-    from rootarr import enumerate_ideals
-
     for ideal in enumerate_ideals(rs):
         arr = Arrangement(rs, ideal.members())
         fast, _ = arr.is_line_closed()
@@ -335,6 +335,33 @@ def test_line_closed_walk_matches_definition_on_random_subsets(case):
         assert not arr.is_flat_mask(wmask)
     # a fresh system and arrangement, with empty memos, give the same witness
     assert Arrangement(build_root_system(label), ground).is_line_closed() == (ok, witness)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(root_subsets(), st.data())
+def test_rank_closure_and_two_closure_match_brute_force(case, data):
+    label, ground = case
+    rs = get_system(label)
+    arr = Arrangement(rs, ground)
+    keep = data.draw(st.lists(st.booleans(), min_size=len(ground), max_size=len(ground)))
+    subset = [g for g, k in zip(ground, keep) if k]
+    vecs = [rs.coords[i] for i in subset]
+    rank = frac_rank(vecs)
+    assert arr.rank(subset) == rank
+    spanned = {z for z in ground if frac_rank(vecs + [rs.coords[z]]) == rank}
+    assert arr.closure(subset) == Flat(sum(1 << z for z in spanned), rank)
+    # naive 2-closure: add any ground z with rank{x, y, z} = 2 for x, y in the set
+    on_line = {
+        (x, y): {z for z in ground if frac_rank([rs.coords[t] for t in (x, y, z)]) == 2}
+        for x, y in combinations(ground, 2)
+    }
+    closed = set(subset)
+    while True:
+        grown = closed.union(*(on_line[p] for p in combinations(sorted(closed), 2)))
+        if grown == closed:
+            break
+        closed = grown
+    assert arr.two_closure_mask(sum(1 << i for i in subset)) == sum(1 << z for z in closed)
 
 
 # -- the system flat lattice ---------------------------------------------------------------
@@ -404,11 +431,27 @@ def test_chi_empty_arrangement():
 @pytest.mark.parametrize("label", ["A2", "A3", "B2", "B3", "G2"])
 def test_chi_matches_whitney_sum_all_ideals(label):
     rs = get_system(label)
-    from rootarr import enumerate_ideals
-
     for ideal in enumerate_ideals(rs):
         arr = Arrangement(rs, ideal.members())
         assert arr.characteristic_polynomial() == whitney_chi(arr)
+
+
+@pytest.mark.parametrize("label", ["G2", "B4", "C4", "D4", "F4", "A5", "D5"])
+def test_ideal_exponents_are_the_dual_height_partition(label):
+    # Sommers-Tymoczko; Abe-Barakat-Cuntz-Hoge-Terao: every ideal arrangement
+    # is free with exponents the dual partition of its height distribution,
+    # so chi factors over them, supersolvable or not
+    rs = get_system(label)
+    for ideal in enumerate_ideals(rs):
+        if not ideal.mask:
+            continue
+        counts = [0] * max(rs.heights[i] for i in ideal.members())
+        for i in ideal.members():
+            counts[rs.heights[i] - 1] += 1
+        assert counts == sorted(counts, reverse=True)
+        dual = [sum(c >= j for c in counts) for j in range(1, counts[0] + 1)]
+        arr = Arrangement(rs, ideal.members())
+        assert arr.characteristic_polynomial() == poly_from_block_sizes(dual, arr.rank())
 
 
 def test_chi_matches_whitney_sum_d4():

@@ -43,7 +43,7 @@ def test_exponents_vs_chi_suite(label):
     assert result.ok, result.failures[:3]
 
 
-@pytest.mark.parametrize("label", RANK_LE_4)
+@pytest.mark.parametrize("label", RANK_LE_4 + ["A5", "D5"])
 def test_line_closed_oracle_suite(label):
     result = SUITES["line-closed-oracle"](get_system(label))
     assert result.ok, result.failures[:3]
