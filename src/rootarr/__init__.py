@@ -11,23 +11,16 @@ from .rootsystem import (
     TypeLabel,
     build_root_system,
     format_root,
-    inner_product,
     parse_root,
-    rank2_subsystem,
     reflect,
 )
 from .ideals import (
     BadIdealWitness,
     Ideal,
     SubsystemView,
-    candidate_ab_pairs,
     contains_f4_bad_ideal,
     enumerate_ideals,
     find_star_ideal,
-    g_set,
-    is_path_root,
-    principal_filter,
-    restrict_without_g,
 )
 from .matroid import Arrangement, Flat
 from .classify import (
@@ -35,7 +28,6 @@ from .classify import (
     EquivalenceViolation,
     PartitionCertificate,
     chain_peeling,
-    chain_peeling_greedy,
     classify_ideal,
     exponents,
     is_supersolvable_generic,
@@ -50,29 +42,21 @@ __all__ = [
     "TypeLabel",
     "RootSystem",
     "build_root_system",
-    "inner_product",
     "reflect",
-    "rank2_subsystem",
     "parse_root",
     "format_root",
     "Ideal",
     "SubsystemView",
     "BadIdealWitness",
     "enumerate_ideals",
-    "principal_filter",
-    "g_set",
-    "candidate_ab_pairs",
-    "restrict_without_g",
     "find_star_ideal",
     "contains_f4_bad_ideal",
-    "is_path_root",
     "Arrangement",
     "Flat",
     "PartitionCertificate",
     "ClassificationRecord",
     "EquivalenceViolation",
     "chain_peeling",
-    "chain_peeling_greedy",
     "is_supersolvable_generic",
     "is_supersolvable_rootideal",
     "exponents",

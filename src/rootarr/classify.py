@@ -3,8 +3,8 @@
 Four predicates are computed independently for every ideal and must agree:
 
 * chain peelability: the ideal can be emptied by repeatedly removing an
-  order filter that is a chain through a minimal element (backtracking
-  search with memoization; greediness is never assumed);
+  order filter that is a chain through a minimal element (a memoized
+  backtracking search over which minimal element to peel);
 * supersolvability, decided twice: by a generic matroid search over
   modular coatom flats, and by the root-ideal fast path whose top-block
   candidates are restricted to chain filters of simple roots and to the
@@ -150,27 +150,6 @@ def chain_peeling(ideal: Ideal) -> Optional[PartitionCertificate]:
     if peel is None:
         return None
     return _peel_certificate(ideal.system, peel)
-
-
-def chain_peeling_greedy(ideal: Ideal) -> Optional[PartitionCertificate]:
-    """Greedy variant: always peel the first workable minimal element.
-
-    Used to log whether greediness can get stuck where backtracking
-    succeeds; correctness of the library never assumes it cannot.
-    """
-    table = ideal.system
-    mask = ideal.mask
-    peel = []
-    while mask:
-        for m in _peel_minimals(table, mask):
-            fmask = mask & table.up_masks[m]
-            if table.is_chain_mask(fmask):
-                peel.append((m, fmask))
-                mask &= ~fmask
-                break
-        else:
-            return None
-    return _peel_certificate(table, tuple(peel))
 
 
 def validate_chain_peeling(ideal: Ideal, cert: PartitionCertificate) -> bool:

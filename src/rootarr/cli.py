@@ -5,7 +5,10 @@ equivalence fails, 2 on usage errors (unknown type, unparsable roots).
 
 Surveys classify every ideal of a type and write a JSON report
 (``schema: 2``); identical invocations produce byte-identical output
-except for the ``timing_seconds`` field.  Types of rank 7 and up are
+except for the ``timing_seconds`` field.  ``--format csv`` with ``--out
+R.json`` writes the JSON report to ``R.json`` and the CSV table to
+``R.csv``; an ``--out`` path that already ends in ``.csv`` exits 2, as the
+table would overwrite the report.  Types of rank 7 and up are
 refused without ``--force`` (an E8 survey classifies 25080 ideals of up to
 120 roots; expect hours, not minutes).  If ``ROOTARR_CACHE_DIR`` is set,
 survey records are persisted there per (type, schema, source digest) and
@@ -28,11 +31,7 @@ from pathlib import Path
 from . import __version__
 from .rootsystem import RootSystem, TypeLabel, build_root_system, format_root
 from .ideals import Ideal, enumerate_ideals
-from .classify import (
-    EquivalenceViolation,
-    chain_peeling_greedy,
-    classify_ideal,
-)
+from .classify import EquivalenceViolation, classify_ideal
 from .suites import SUITES
 
 SCHEMA = 2
@@ -100,26 +99,22 @@ def _worker_init(type_str: str) -> None:
     _WORKER_SYSTEM = _load_system(type_str)
 
 
-def _classify_mask(payload: tuple[int, bool]) -> tuple[int, int, dict | None, str | None, bool]:
-    mask, log_greedy = payload
+def _classify_mask(mask: int) -> tuple[int, int, dict | None, str | None]:
     rs = _WORKER_SYSTEM
     ideal = Ideal(rs, mask)
-    stuck = False
     try:
         record = classify_ideal(ideal)
     except EquivalenceViolation as exc:
-        return mask, ideal.size, None, str(exc), False
+        return mask, ideal.size, None, str(exc)
     except Exception as exc:
         raise RuntimeError(
             f"classifying ideal {ideal.coordinate_strings()} of {rs.label} failed: "
             f"{type(exc).__name__}: {exc}"
         ) from exc
-    if log_greedy and record.chain_peelable:
-        stuck = chain_peeling_greedy(ideal) is None
-    return mask, ideal.size, record.to_dict(rs), None, stuck
+    return mask, ideal.size, record.to_dict(rs), None
 
 
-def run_survey(type_str: str, jobs: int = 1, log_greedy: bool = False) -> dict:
+def run_survey(type_str: str, jobs: int = 1) -> dict:
     """Classify every ideal of a type; returns the report as a dict.
 
     The record list is sorted canonically and is identical for serial and
@@ -127,27 +122,22 @@ def run_survey(type_str: str, jobs: int = 1, log_greedy: bool = False) -> dict:
     """
     rs = _load_system(type_str)
     started = time.perf_counter()
-    cached = _cache_load(type_str) if not log_greedy else None
-    if cached is not None:
-        results = cached
-    else:
+    results = _cache_load(type_str)
+    if results is None:
         masks = [ideal.mask for ideal in enumerate_ideals(rs)]
-        payloads = [(m, log_greedy) for m in masks]
         if jobs > 1:
             with ProcessPoolExecutor(
                 max_workers=jobs, initializer=_worker_init, initargs=(type_str,)
             ) as pool:
-                results = list(pool.map(_classify_mask, payloads, chunksize=8))
+                results = list(pool.map(_classify_mask, masks, chunksize=8))
         else:
             _worker_init(type_str)
-            results = [_classify_mask(p) for p in payloads]
+            results = [_classify_mask(m) for m in masks]
         results.sort(key=lambda r: (r[1], r[0]))
-        if not log_greedy:
-            _cache_store(type_str, results)
+        _cache_store(type_str, results)
 
-    records = [rec for _, _, rec, _, _ in results if rec is not None]
-    violations = [msg for _, _, _, msg, _ in results if msg is not None]
-    greedy_stuck = sum(1 for *_, stuck in results if stuck)
+    records = [rec for _, _, rec, _ in results if rec is not None]
+    violations = [msg for _, _, _, msg in results if msg is not None]
     summary = {
         "total": len(records),
         "chain_peelable": sum(r["chain_peelable"] for r in records),
@@ -157,8 +147,6 @@ def run_survey(type_str: str, jobs: int = 1, log_greedy: bool = False) -> dict:
         "bad_ideals": sum(r["bad_ideal"] is not None for r in records),
         "non_supersolvable": sum(not r["supersolvable"] for r in records),
     }
-    if log_greedy:
-        summary["greedy_stuck"] = greedy_stuck
     return {
         "schema": SCHEMA,
         "tool_version": __version__,
@@ -250,7 +238,10 @@ def cmd_survey(args) -> int:
             "line-closedness grow steeply with the root count)"
         )
         return 2
-    report = run_survey(str(label), jobs=args.jobs, log_greedy=args.log_greedy)
+    if args.format == "csv" and args.out and Path(args.out).suffix == ".csv":
+        _err(f"--out {args.out} ends in .csv: --format csv would overwrite the JSON report there")
+        return 2
+    report = run_survey(str(label), jobs=args.jobs)
     text = json.dumps(report, indent=2, sort_keys=True)
     if args.out:
         Path(args.out).write_text(text + "\n")
@@ -263,8 +254,6 @@ def cmd_survey(args) -> int:
     elif not args.out:
         print(text)
     _print_summary(report)
-    if args.log_greedy:
-        print(f"greedy peeling stuck on {report['summary']['greedy_stuck']} ideals", file=sys.stderr)
     return 0 if report["equivalence_ok"] else 1
 
 
@@ -289,7 +278,7 @@ def _print_summary(report: dict) -> None:
 
 
 def cmd_verify(args) -> int:
-    suite_names = args.suite or sorted(SUITES)
+    suite_names = list(dict.fromkeys(args.suite or sorted(SUITES)))
     types = "A2,A3,B2,B3,C3,D4,G2" if args.types is None else args.types
     labels = [TypeLabel.parse(t) for t in types.split(",") if t]
     if not labels:
@@ -338,13 +327,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--type", required=True)
     p.add_argument("--jobs", type=int, default=1, help="parallel classification workers")
     p.add_argument("--out", help="write the JSON report here instead of stdout")
-    p.add_argument("--format", choices=["json", "csv"], default="json")
-    p.add_argument("--force", action="store_true", help="allow rank >= 7 surveys")
     p.add_argument(
-        "--log-greedy",
-        action="store_true",
-        help="count ideals where greedy peeling gets stuck though a peeling exists",
+        "--format",
+        choices=["json", "csv"],
+        default="json",
+        help="csv: print a CSV table, or with --out write it beside the JSON report, "
+        "with the suffix replaced by .csv",
     )
+    p.add_argument("--force", action="store_true", help="allow rank >= 7 surveys")
     p.set_defaults(func=cmd_survey)
 
     p = sub.add_parser("verify", help="run exhaustive property suites")
@@ -352,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--suite",
         action="append",
         choices=sorted(SUITES),
-        help="suite name (repeatable; default: all suites)",
+        help="suite name (repeatable, repeats run once; default: all suites)",
     )
     p.add_argument("--types", help="comma-separated type labels (default: A2,A3,B2,B3,C3,D4,G2)")
     p.set_defaults(func=cmd_verify)

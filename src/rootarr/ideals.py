@@ -2,9 +2,10 @@
 
 An ideal is a downward-closed set of positive roots, stored as a bitmask
 over root indices.  This module enumerates all ideals of a system,
-computes the two kinds of candidate top blocks used by the supersolvability
-search (principal filters of simple roots, and the complement-of-multiples
-sets attached to a bonded pair of simple roots), restricts ideals into root
+computes the bonded-pair candidate top blocks of the supersolvability
+search (the complement-of-multiples sets attached to a bonded pair of
+simple roots; the other kind, the filter of a simple root at position p,
+is just ``mask & table.up_masks[p]``), restricts ideals into root
 subsystems, and detects the two minimal obstructions: the star
 configuration around a degree-3 Dynkin node, and the F4 ideal of all roots
 of height at most four.
@@ -13,7 +14,6 @@ of height at most four.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 from typing import Iterator, Sequence
 
@@ -129,37 +129,15 @@ def enumerate_ideals(rs: _RootTable) -> Iterator[Ideal]:
         yield Ideal(rs, mask)
 
 
-def principal_filter(ideal: Ideal, alpha: int) -> frozenset[int]:
-    """The order filter in the ideal generated by a simple root.
-
-    ``alpha`` is the root index of a simple root and must belong to the
-    ideal; the result is every member lying above it.
-    """
-    sys_ = ideal.system
-    v = sys_.coords[alpha]
-    if sum(v) != 1:
-        raise ValueError("filter generator must be a simple root")
-    if alpha not in ideal:
-        raise ValueError("filter generator does not belong to the ideal")
-    return frozenset(_bits(ideal.mask & sys_.up_masks[alpha]))
-
-
-def g_set(ideal: Ideal, alpha: int, beta: int, a: int, b: int) -> frozenset[int]:
-    """Members whose (alpha, beta)-coordinate pair is not a multiple of (a, b).
-
-    ``alpha`` and ``beta`` are root indices of distinct simple roots and
-    ``a * alpha + b * beta`` must be a positive root.  Multiples include the
-    zero multiple, so members supported away from both simple roots are
-    excluded as well.
-    """
-    sys_ = ideal.system
-    ai, bi = _simple_axes(sys_, alpha, beta)
-    _require_bond_root(sys_, ai, bi, a, b)
-    return frozenset(_bits(g_set_mask(sys_, ideal.mask, ai, bi, a, b)))
-
-
 def g_set_mask(table: _RootTable, mask: int, ai: int, bi: int, a: int, b: int) -> int:
-    """g_set as a bitmask; ``ai``/``bi`` are coordinate axes, not root indices."""
+    """Members whose (ai, bi)-coordinate pair is not a multiple of (a, b).
+
+    ``ai`` and ``bi`` are the coordinate axes of two distinct simple roots,
+    not root indices, and ``a*alpha_ai + b*alpha_bi`` must be a positive
+    root; no validation.  Multiples include the zero multiple, so members
+    supported away from both simple roots are excluded as well.  The
+    result is the bonded-pair complement block, as a mask.
+    """
     out = 0
     for i in _bits(mask):
         v = table.coords[i]
@@ -170,31 +148,10 @@ def g_set_mask(table: _RootTable, mask: int, ai: int, bi: int, a: int, b: int) -
     return out
 
 
-def _simple_axes(table: _RootTable, alpha: int, beta: int) -> tuple[int, int]:
-    """Coordinate axes of two distinct simple roots given by root index."""
-    axes = []
-    for v in (table.coords[alpha], table.coords[beta]):
-        if sum(v) != 1:
-            raise ValueError(f"root {v} is not simple")
-        axes.append(v.index(1))
-    if axes[0] == axes[1]:
-        raise ValueError("the two simple roots must be distinct")
-    return axes[0], axes[1]
-
-
 def _bond_position(table: _RootTable, ai: int, bi: int, a: int, b: int) -> int | None:
     """Position of the root ``a*alpha_ai + b*alpha_bi``, or None if no root."""
     v = tuple(a if k == ai else b if k == bi else 0 for k in range(table.rank))
     return table.index_of.get(v)
-
-
-def _require_bond_root(table: _RootTable, ai: int, bi: int, a: int, b: int) -> None:
-    if a < 1 or b < 1:
-        raise ValueError("multipliers must be positive")
-    if _bond_position(table, ai, bi, a, b) is None:
-        raise ValueError(
-            f"{a}*alpha + {b}*beta is not a positive root for this pair"
-        )
 
 
 def ab_pairs(table: _RootTable, ai: int, bi: int) -> list[tuple[int, int]]:
@@ -209,14 +166,6 @@ def ab_pairs(table: _RootTable, ai: int, bi: int) -> list[tuple[int, int]]:
         if v[ai] >= 1 and v[bi] >= 1 and sum(v) == v[ai] + v[bi]:
             pairs.append((v[ai], v[bi]))
     return sorted(pairs)
-
-
-def candidate_ab_pairs(rs: _RootTable, alpha: int, beta: int) -> list[tuple[int, int]]:
-    """All (a, b) with a, b >= 1 making a*alpha + b*beta a positive root.
-
-    ``alpha`` and ``beta`` are root indices of distinct simple roots.
-    """
-    return ab_pairs(rs, *_simple_axes(rs, alpha, beta))
 
 
 @dataclass(frozen=True)
@@ -298,20 +247,6 @@ def f4_bad_witness(rs: RootSystem) -> BadIdealWitness:
     return BadIdealWitness("f4", rs.simple_positions, gens)
 
 
-def is_path_root(rs: RootSystem, gamma: int) -> bool:
-    """Whether the root's support is a Dynkin path with all coordinates 1."""
-    v = rs.coords[gamma]
-    supp = [i for i, x in enumerate(v) if x]
-    if any(v[i] != 1 for i in supp):
-        return False
-    # Supports are connected subtrees of the Dynkin tree, so a path is
-    # exactly: no support node with three support neighbours.
-    supp_set = set(supp)
-    return all(
-        sum(1 for j in rs.dynkin_neighbours(i) if j in supp_set) <= 2 for i in supp
-    )
-
-
 class SubsystemView(_RootTable):
     """A root subsystem presented like a standalone root table.
 
@@ -361,39 +296,9 @@ class SubsystemView(_RootTable):
             out |= 1 << self.position_of_base[table.base_index(pos)]
         return out
 
-    @property
-    def lacing(self) -> int:
-        """1, 2 or 3 from the squared-length ratio of the member roots."""
-        lengths = {
-            self.base.form_value(self.base.coords[i], self.base.coords[i])
-            for i in self.parent_indices
-        }
-        if not lengths:
-            return 1
-        ratio = max(lengths) / min(lengths)
-        return {Fraction(1): 1, Fraction(2): 2, Fraction(3): 3}[ratio]
-
     def __repr__(self) -> str:
         delta = ",".join(format_root(self.base, i) for i in self.delta_base)
         return f"SubsystemView({self.base.label}: <{delta}>, {self.nroots} roots)"
-
-
-def restrict_without_g(
-    ideal: Ideal, alpha: int, beta: int, a: int, b: int
-) -> tuple[SubsystemView, Ideal]:
-    """Drop the g_set block and land in the rank-lowered subsystem.
-
-    The subsystem is spanned by ``a*alpha + b*beta`` together with the
-    other simple roots; the surviving members form an order ideal of the
-    subsystem's own root poset (which coincides with the induced parent
-    order).  Returns the view and the reindexed ideal.
-    """
-    table = ideal.system
-    ai, bi = _simple_axes(table, alpha, beta)
-    _require_bond_root(table, ai, bi, a, b)
-    rest = ideal.mask & ~g_set_mask(table, ideal.mask, ai, bi, a, b)
-    view, rest_mask = restrict_mask(table, rest, ai, bi, a, b)
-    return view, Ideal(view, rest_mask)
 
 
 def restrict_mask(
@@ -402,8 +307,8 @@ def restrict_mask(
     """The subsystem spanned by the bond root and the other simple roots.
 
     ``ai``/``bi`` are coordinate axes and ``a*alpha_ai + b*alpha_bi`` must
-    be a root; ``mask`` (table positions) must avoid the g_set block, so
-    every member lies in the subsystem.  Returns the view and ``mask``
+    be a root; ``mask`` (table positions) must avoid the ``g_set_mask``
+    block, so every member lies in the subsystem.  Returns the view and ``mask``
     reindexed over the view's positions.  No validation.
     """
     delta = [table.base_index(_bond_position(table, ai, bi, a, b))] + [

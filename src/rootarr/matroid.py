@@ -128,27 +128,6 @@ class Arrangement:
                 masks.add(self._pair_mask(g[a], g[b]))
         return [Flat(m, 2) for m in sorted(masks)]
 
-    # -- independent sets -------------------------------------------------
-
-    def independent_sets(self, max_size: int) -> Iterator[tuple[int, ...]]:
-        """Stream all subsets whose rank equals their size, sizes 1..max_size."""
-        if max_size > self.rank():
-            raise ValueError("max_size exceeds the arrangement rank")
-        g = self.ground
-
-        def rec(start: int, chosen: tuple[int, ...], rows):
-            for p in range(start, len(g)):
-                v = _reduce(rows, self._vec(g[p]))
-                piv = next((t for t, x in enumerate(v) if x), None)
-                if piv is None:
-                    continue
-                sub = chosen + (g[p],)
-                yield sub
-                if len(sub) < max_size:
-                    yield from rec(p + 1, sub, rows + [(piv, tuple(v))])
-
-        yield from rec(0, (), [])
-
     # -- 2-closure and line-closedness -------------------------------------
 
     def two_closure_mask(self, mask: int) -> int:

@@ -415,11 +415,6 @@ def build_root_system(label: TypeLabel | str) -> RootSystem:
     return RootSystem(label)
 
 
-def inner_product(rs: RootSystem, i: int, j: int) -> Fraction:
-    """(root_i, root_j) under the symmetrized Cartan form; exact rational."""
-    return rs.form_value(rs.coords[i], rs.coords[j])
-
-
 def reflect(rs: RootSystem, alpha: int, gamma: int) -> tuple[int, int]:
     """Apply the simple reflection for root index ``alpha`` to root ``gamma``.
 
@@ -436,13 +431,6 @@ def reflect(rs: RootSystem, alpha: int, gamma: int) -> tuple[int, int]:
         return (1, rs.index_of[image])
     neg = tuple(-x for x in image)
     return (-1, rs.index_of[neg])
-
-
-def rank2_subsystem(rs: RootSystem, g1: int, g2: int) -> frozenset[int]:
-    """All positive roots in the rational span of two independent roots."""
-    if g1 == g2:
-        raise ValueError("rank-2 subsystem needs two distinct (non-parallel) roots")
-    return frozenset(_bits(rs.pair_span_mask(g1, g2)))
 
 
 # -- root text format -------------------------------------------------------

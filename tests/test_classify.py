@@ -8,7 +8,6 @@ from rootarr import (
     Arrangement,
     Ideal,
     chain_peeling,
-    chain_peeling_greedy,
     classify_ideal,
     enumerate_ideals,
     exponents,
@@ -18,7 +17,7 @@ from rootarr import (
     parse_root,
 )
 from rootarr.classify import validate_chain_peeling, validate_supersolving
-from rootarr.ideals import f4_height4_mask, g_set
+from rootarr.ideals import f4_height4_mask, find_star_ideal, g_set_mask, restrict_mask
 from rootarr.suites import poly_from_block_sizes
 from conftest import classify_type, get_system
 
@@ -83,9 +82,45 @@ def test_all_produced_peelings_validate(label):
         cert = chain_peeling(ideal)
         if cert is not None:
             assert validate_chain_peeling(ideal, cert)
-            greedy = chain_peeling_greedy(ideal)
-            if greedy is not None:
-                assert validate_chain_peeling(ideal, greedy)
+
+
+@pytest.mark.parametrize(
+    "label", ["A4", "A5", "B3", "B4", "C3", "C4", "G2", "D4", "D5", "F4", "E6"]
+)
+def test_supersolvability_is_closed_under_subideals(label):
+    # Dropping a maximal root of a supersolvable ideal leaves a supersolvable
+    # ideal, so a peeling can never run into a dead end below a peelable
+    # ideal, and the minimal non-supersolvable ideals (all of whose
+    # one-smaller subideals are supersolvable) are exactly the bad ideals.
+    rs = get_system(label)
+    ideals = list(enumerate_ideals(rs))
+    ss = {ideal.mask: is_supersolvable_rootideal(ideal) is not None for ideal in ideals}
+    minimal = []
+    for mask, ok in ss.items():
+        subs = [
+            ss[mask & ~(1 << i)]
+            for i in range(rs.nroots)
+            if mask >> i & 1 and rs.up_masks[i] & mask == 1 << i
+        ]
+        if ok:
+            assert all(subs), Ideal(rs, mask).coordinate_strings()
+        elif all(subs):
+            minimal.append(mask)
+    if label in ("D4", "D5", "E6"):
+        star = find_star_ideal(Ideal(rs, rs.full_mask))
+        expected = [Ideal.from_generators(rs, star.generators).mask]
+        assert find_star_ideal(Ideal(rs, expected[0])) is not None
+        assert expected[0].bit_count() == 10
+    elif label == "F4":
+        expected = [f4_height4_mask(rs)]
+        assert expected[0].bit_count() == 13
+    else:
+        expected = []
+    assert minimal == expected
+    if label in ("D4", "F4"):
+        records = classify_type(label)
+        assert [r.ideal for r in records] == [i.coordinate_strings() for i in ideals]
+        assert [r.supersolvable for r in records] == list(ss.values())
 
 
 # -- generic supersolvability -------------------------------------------------------
@@ -173,11 +208,11 @@ def test_f4_candidate_blocks_all_contain_two_flats():
         ("0100", "0010", 2, 1): ("1110", "0111"),
     }
     for (a_name, b_name, a, b), (x_name, y_name) in flat_pairs.items():
-        g = g_set(ihat, parse_root(rs, a_name), parse_root(rs, b_name), a, b)
+        gmask = g_set_mask(rs, ihat.mask, a_name.index("1"), b_name.index("1"), a, b)
         x, y = parse_root(rs, x_name), parse_root(rs, y_name)
-        assert x in g and y in g
+        assert gmask >> x & 1 and gmask >> y & 1
         flat = arr.closure([x, y])
-        assert flat.members & ihat.mask & ~sum(1 << i for i in g) == 0
+        assert flat.members & ihat.mask & ~gmask == 0
 
 
 def test_rootideal_handles_non_essential_ideals():
@@ -250,10 +285,9 @@ def test_classify_multiply_laced_all_true(label):
 
 def test_classify_rejects_view_ideals():
     rs = get_system("A3")
-    full = Ideal(rs, rs.full_mask)
-    view, vid = __import__("rootarr").restrict_without_g(
-        full, parse_root(rs, "100"), parse_root(rs, "010"), 1, 1
-    )
+    rest = rs.full_mask & ~g_set_mask(rs, rs.full_mask, 0, 1, 1, 1)
+    view, vmask = restrict_mask(rs, rest, 0, 1, 1, 1)
+    vid = Ideal(view, vmask)
     with pytest.raises(ValueError):
         classify_ideal(vid)
 

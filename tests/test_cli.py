@@ -186,12 +186,13 @@ def test_survey_csv(tmp_path, capsys):
     assert len(lines) == 9  # header + 8 ideals
 
 
-def test_survey_log_greedy(tmp_path, capsys):
-    code, _, err = run(capsys, "survey", "--type", "D4", "--log-greedy", "--out", str(tmp_path / "x.json"))
-    assert code == 0
-    assert "greedy peeling stuck on" in err
-    report = json.loads((tmp_path / "x.json").read_text())
-    assert "greedy_stuck" in report["summary"]
+def test_survey_csv_out_ending_in_csv_exits_2(tmp_path, capsys):
+    # the CSV would go to the same path and overwrite the JSON report
+    out_file = tmp_path / "r.csv"
+    code, out, err = run(capsys, "survey", "--type", "A2", "--format", "csv", "--out", str(out_file))
+    assert code == 2 and not out
+    assert str(out_file) in err and ".csv" in err
+    assert not list(tmp_path.iterdir())
 
 
 def test_survey_cache_roundtrip(tmp_path, capsys, monkeypatch):
@@ -245,6 +246,14 @@ def test_verify_all_default_types(capsys):
     code, out, _ = run(capsys, "verify")
     assert code == 0
     assert "FAIL" not in out
+
+
+def test_verify_repeated_suite_runs_once(capsys):
+    code, out, _ = run(
+        capsys, "verify", "--types", "G2", "--suite", "rank2", "--suite", "twocases", "--suite", "rank2"
+    )
+    assert code == 0
+    assert [line.split()[0] for line in out.splitlines()] == ["rank2", "twocases"]
 
 
 def test_verify_empty_type_list_exits_2(capsys):

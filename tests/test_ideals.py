@@ -13,18 +13,13 @@ import pytest
 
 from rootarr import (
     Ideal,
-    candidate_ab_pairs,
     contains_f4_bad_ideal,
     enumerate_ideals,
     find_star_ideal,
     format_root,
-    g_set,
-    is_path_root,
     parse_root,
-    principal_filter,
-    restrict_without_g,
 )
-from rootarr.ideals import f4_height4_mask
+from rootarr.ideals import ab_pairs, f4_height4_mask, g_set_mask, restrict_mask
 from conftest import get_system
 from test_matroid import frac_rank
 
@@ -140,34 +135,27 @@ def test_ideal_parse_forms():
 # -- principal filters ----------------------------------------------------------
 
 
+def root_names(rs, mask: int) -> set[str]:
+    return {format_root(rs, i) for i in range(rs.nroots) if mask >> i & 1}
+
+
 def test_principal_filter_a2():
     rs = get_system("A2")
-    full = Ideal(rs, rs.full_mask)
-    got = principal_filter(full, parse_root(rs, "10"))
-    assert {format_root(rs, i) for i in got} == {"10", "11"}
+    got = rs.full_mask & rs.up_masks[parse_root(rs, "10")]
+    assert root_names(rs, got) == {"10", "11"}
 
 
 def test_principal_filter_d4_centre():
     rs = get_system("D4")
-    full = Ideal(rs, rs.full_mask)
-    got = principal_filter(full, parse_root(rs, "0100"))
-    assert len(got) == 9
-    assert all(rs.coords[i][1] >= 1 for i in got)
+    got = rs.full_mask & rs.up_masks[parse_root(rs, "0100")]
+    assert got.bit_count() == 9
+    assert all(rs.coords[i][1] >= 1 for i in range(rs.nroots) if got >> i & 1)
 
 
 def test_principal_filter_f4_height4_ideal():
     rs = get_system("F4")
-    ihat = Ideal(rs, f4_height4_mask(rs))
-    got = principal_filter(ihat, parse_root(rs, "1000"))
-    assert {format_root(rs, i) for i in got} == {"1000", "1100", "1110", "1210", "1111"}
-
-
-def test_principal_filter_requires_membership_and_simplicity():
-    rs = get_system("A2")
-    with pytest.raises(ValueError):
-        principal_filter(Ideal(rs, 0), parse_root(rs, "10"))
-    with pytest.raises(ValueError):
-        principal_filter(Ideal(rs, rs.full_mask), parse_root(rs, "11"))
+    got = f4_height4_mask(rs) & rs.up_masks[parse_root(rs, "1000")]
+    assert root_names(rs, got) == {"1000", "1100", "1110", "1210", "1111"}
 
 
 @pytest.mark.parametrize("label", ["A3", "B3", "D4"])
@@ -177,9 +165,7 @@ def test_filter_complement_is_again_an_ideal(label):
         for pos in rs.simple_positions:
             if pos not in ideal:
                 continue
-            fmask = 0
-            for i in principal_filter(ideal, pos):
-                fmask |= 1 << i
+            fmask = ideal.mask & rs.up_masks[pos]
             # the filter is upward closed inside the ideal
             for i in range(rs.nroots):
                 if fmask >> i & 1:
@@ -188,42 +174,27 @@ def test_filter_complement_is_again_an_ideal(label):
 
 
 # -- the bonded-pair complement block ----------------------------------------------
+# Simple roots are named by their coordinate axes ai, bi, as in the classifier.
 
 
 def test_g_set_a2():
     rs = get_system("A2")
-    full = Ideal(rs, rs.full_mask)
-    got = g_set(full, parse_root(rs, "10"), parse_root(rs, "01"), 1, 1)
-    assert {format_root(rs, i) for i in got} == {"10", "01"}
+    got = g_set_mask(rs, rs.full_mask, 0, 1, 1, 1)
+    assert root_names(rs, got) == {"10", "01"}
 
 
 def test_g_set_d4():
     rs = get_system("D4")
-    full = Ideal(rs, rs.full_mask)
-    got = {
-        format_root(rs, i)
-        for i in g_set(full, parse_root(rs, "1000"), parse_root(rs, "0100"), 1, 1)
-    }
-    assert got == {"1000", "0100", "0110", "0101", "0111", "1211"}
+    got = g_set_mask(rs, rs.full_mask, 0, 1, 1, 1)
+    assert root_names(rs, got) == {"1000", "0100", "0110", "0101", "0111", "1211"}
 
 
 def test_g_set_f4_bond_multiplier():
     rs = get_system("F4")
-    ihat = Ideal(rs, f4_height4_mask(rs))
-    got = {
-        format_root(rs, i)
-        for i in g_set(ihat, parse_root(rs, "0100"), parse_root(rs, "0010"), 2, 1)
-    }
+    got = root_names(rs, g_set_mask(rs, f4_height4_mask(rs), 1, 2, 2, 1))
     assert "0210" not in got and "1000" not in got and "0001" not in got
     assert "1111" in got
     assert got == {"0100", "0010", "1100", "0110", "0011", "1110", "0111", "1111"}
-
-
-def test_g_set_rejects_non_roots():
-    rs = get_system("A2")
-    full = Ideal(rs, rs.full_mask)
-    with pytest.raises(ValueError):
-        g_set(full, parse_root(rs, "10"), parse_root(rs, "01"), 2, 1)
 
 
 @pytest.mark.parametrize("label", ["A3", "B3", "D4", "G2", "F4"])
@@ -231,57 +202,59 @@ def test_g_set_multiple_duality(label):
     # complement duality: gamma survives outside G iff its coordinate pair
     # is a nonnegative multiple of (a, b)
     rs = get_system(label)
-    full = Ideal(rs, rs.full_mask)
     for k1 in range(rs.rank):
         for k2 in range(k1 + 1, rs.rank):
-            p1, p2 = rs.simple_positions[k1], rs.simple_positions[k2]
-            for a, b in candidate_ab_pairs(rs, p1, p2):
-                g = g_set(full, p1, p2, a, b)
+            for a, b in ab_pairs(rs, k1, k2):
+                g = g_set_mask(rs, rs.full_mask, k1, k2, a, b)
                 for i in range(rs.nroots):
                     v = rs.coords[i]
                     multiple = any(
                         v[k1] == k * a and v[k2] == k * b for k in range(0, 7)
                     )
-                    assert (i not in g) == multiple
+                    assert (not g >> i & 1) == multiple
 
 
 def test_candidate_ab_pairs():
     a2 = get_system("A2")
-    assert candidate_ab_pairs(a2, 0, 1) == [(1, 1)]
+    assert ab_pairs(a2, 0, 1) == [(1, 1)]
     b2 = get_system("B2")
-    assert candidate_ab_pairs(b2, parse_root(b2, "10"), parse_root(b2, "01")) == [(1, 1), (1, 2)]
+    assert ab_pairs(b2, 0, 1) == [(1, 1), (1, 2)]
     f4 = get_system("F4")
-    assert candidate_ab_pairs(f4, parse_root(f4, "0100"), parse_root(f4, "0010")) == [(1, 1), (2, 1)]
+    assert ab_pairs(f4, 1, 2) == [(1, 1), (2, 1)]
     g2 = get_system("G2")
-    assert candidate_ab_pairs(g2, parse_root(g2, "10"), parse_root(g2, "01")) == [
+    assert ab_pairs(g2, 0, 1) == [
         (1, 1),
         (1, 2),
         (1, 3),
         (2, 3),
     ]
     a3 = get_system("A3")
-    assert candidate_ab_pairs(a3, parse_root(a3, "100"), parse_root(a3, "001")) == []
+    assert ab_pairs(a3, 0, 2) == []
 
 
 # -- subsystem restriction -----------------------------------------------------------
 
 
+def restrict(rs, mask, ai, bi, a, b):
+    """The search's restriction step: drop the pair block, reindex into the view."""
+    rest = mask & ~g_set_mask(rs, mask, ai, bi, a, b)
+    return restrict_mask(rs, rest, ai, bi, a, b)
+
+
 def test_restrict_a2_footnote_example():
     rs = get_system("A2")
-    full = Ideal(rs, rs.full_mask)
-    view, vid = restrict_without_g(full, parse_root(rs, "10"), parse_root(rs, "01"), 1, 1)
+    view, vmask = restrict(rs, rs.full_mask, 0, 1, 1, 1)
     assert view.rank == 1 and view.nroots == 1
     assert view.parent_indices == (parse_root(rs, "11"),)
-    assert vid.mask == 1
+    assert vmask == 1
 
 
 def test_restrict_d4_delta():
     rs = get_system("D4")
-    full = Ideal(rs, rs.full_mask)
-    view, vid = restrict_without_g(full, parse_root(rs, "1000"), parse_root(rs, "0100"), 1, 1)
+    view, vmask = restrict(rs, rs.full_mask, 0, 1, 1, 1)
     assert view.rank == 3
     assert {format_root(rs, i) for i in view.delta_base} == {"1100", "0010", "0001"}
-    assert view.is_downward_closed(vid.mask)
+    assert view.is_downward_closed(vmask)
 
 
 @pytest.mark.parametrize("label", ["A3", "B3", "C3", "D4", "G2", "F4"])
@@ -289,14 +262,14 @@ def test_restriction_induced_order_matches_parent(label):
     # the subsystem poset equals the parent order restricted to its roots,
     # and its roots are exactly the non-surviving complement of the block
     rs = get_system(label)
-    full = Ideal(rs, rs.full_mask)
     for k1 in range(rs.rank):
         for k2 in range(k1 + 1, rs.rank):
-            p1, p2 = rs.simple_positions[k1], rs.simple_positions[k2]
-            for a, b in candidate_ab_pairs(rs, p1, p2):
-                view, vid = restrict_without_g(full, p1, p2, a, b)
-                g = g_set(full, p1, p2, a, b)
-                assert set(view.parent_indices) == set(range(rs.nroots)) - set(g)
+            for a, b in ab_pairs(rs, k1, k2):
+                view, _ = restrict(rs, rs.full_mask, k1, k2, a, b)
+                g = g_set_mask(rs, rs.full_mask, k1, k2, a, b)
+                assert set(view.parent_indices) == {
+                    i for i in range(rs.nroots) if not g >> i & 1
+                }
                 for x in range(view.nroots):
                     for y in range(view.nroots):
                         assert view.leq(x, y) == rs.leq(
@@ -310,9 +283,9 @@ def test_restriction_of_every_ideal_is_an_ideal(label):
     for ideal in enumerate_ideals(rs):
         for k1 in range(rs.rank):
             for k2 in range(k1 + 1, rs.rank):
-                p1, p2 = rs.simple_positions[k1], rs.simple_positions[k2]
-                for a, b in candidate_ab_pairs(rs, p1, p2):
-                    restrict_without_g(ideal, p1, p2, a, b)  # validates internally
+                for a, b in ab_pairs(rs, k1, k2):
+                    view, vmask = restrict(rs, ideal.mask, k1, k2, a, b)
+                    assert view.is_downward_closed(vmask)
 
 
 @pytest.mark.parametrize("label", ["A5", "B4", "D5", "F4", "G2", "E6"])
@@ -320,12 +293,10 @@ def test_restriction_view_coordinates_recombine(label):
     # each view root's coordinates rebuild its parent vector over the
     # spanning roots, and the view holds exactly the parent roots in the span
     rs = get_system(label)
-    full = Ideal(rs, rs.full_mask)
     for k1 in range(rs.rank):
         for k2 in range(k1 + 1, rs.rank):
-            p1, p2 = rs.simple_positions[k1], rs.simple_positions[k2]
-            for a, b in candidate_ab_pairs(rs, p1, p2):
-                view, _ = restrict_without_g(full, p1, p2, a, b)
+            for a, b in ab_pairs(rs, k1, k2):
+                view, _ = restrict(rs, rs.full_mask, k1, k2, a, b)
                 delta = [rs.coords[d] for d in view.delta_base]
                 for pos, c in enumerate(view.coords):
                     combo = tuple(
@@ -395,6 +366,20 @@ def test_f4_bad_ideal_generated_by_etas():
 
 
 # -- path roots ------------------------------------------------------------------------
+
+
+def is_path_root(rs, gamma: int) -> bool:
+    """Whether the root's support is a Dynkin path with all coordinates 1."""
+    v = rs.coords[gamma]
+    supp = [i for i, x in enumerate(v) if x]
+    if any(v[i] != 1 for i in supp):
+        return False
+    # Supports are connected subtrees of the Dynkin tree, so a path is
+    # exactly: no support node with three support neighbours.
+    supp_set = set(supp)
+    return all(
+        sum(1 for j in rs.dynkin_neighbours(i) if j in supp_set) <= 2 for i in supp
+    )
 
 
 def test_path_roots_type_a_all():

@@ -187,14 +187,24 @@ def test_two_flat_containment_f4_height4():
     assert flat.members & ~ihat.mask == 0
 
 
+def independent_sets(arr: Arrangement, max_size: int) -> list[tuple[int, ...]]:
+    """Ground subsets of sizes 1..max_size whose rank equals their size."""
+    return [
+        s
+        for k in range(1, max_size + 1)
+        for s in combinations(arr.ground, k)
+        if arr.rank(s) == k
+    ]
+
+
 def test_independent_sets_counts():
     a2 = get_system("A2")
-    sets = list(Arrangement(a2, range(3)).independent_sets(2))
+    sets = independent_sets(Arrangement(a2, range(3)), 2)
     assert sum(1 for s in sets if len(s) == 1) == 3
     assert sum(1 for s in sets if len(s) == 2) == 3
     d4 = get_system("D4")
     arr = Arrangement(d4, range(12))
-    pairs = [s for s in arr.independent_sets(2)]
+    pairs = independent_sets(arr, 2)
     assert len(pairs) == 12 + 66  # every pair of distinct roots is independent
 
 
@@ -205,18 +215,18 @@ def test_independent_triple_sample():
     assert arr.rank(triple) == 3
 
 
-def test_independent_sets_max_size_guard():
-    rs = get_system("A2")
-    with pytest.raises(ValueError):
-        list(Arrangement(rs, range(3)).independent_sets(3))
-
-
 @pytest.mark.parametrize("label", ["A3", "B3"])
 def test_independent_sets_have_full_rank(label):
     rs = get_system(label)
     arr = Arrangement(rs, range(rs.nroots))
-    for s in arr.independent_sets(3):
-        assert frac_rank([rs.coords[i] for i in s]) == len(s)
+    sets = independent_sets(arr, 3)
+    assert all(frac_rank([rs.coords[i] for i in s]) == len(s) for s in sets)
+    assert len(sets) == sum(
+        1
+        for k in (1, 2, 3)
+        for s in combinations(range(rs.nroots), k)
+        if frac_rank([rs.coords[i] for i in s]) == k
+    )
 
 
 # -- 2-closure ------------------------------------------------------------------------

@@ -16,9 +16,7 @@ import pytest
 from rootarr import (
     TypeLabel,
     format_root,
-    inner_product,
     parse_root,
-    rank2_subsystem,
     reflect,
 )
 from conftest import get_system
@@ -200,21 +198,22 @@ def test_form_matches_euclidean_model(label):
         u = embed(rs.coords[i])
         for j in range(rs.nroots):
             w = embed(rs.coords[j])
-            assert inner_product(rs, i, j) == factor * sum(a * b for a, b in zip(u, w))
+            assert rs.form_value(rs.coords[i], rs.coords[j]) == factor * sum(a * b for a, b in zip(u, w))
 
 
 def test_a2_inner_products():
     rs = get_system("A2")
-    a1, a2 = parse_root(rs, "10"), parse_root(rs, "01")
-    assert inner_product(rs, a1, a2) == -1
-    assert inner_product(rs, a1, a1) == 2 == inner_product(rs, a2, a2)
+    a1, a2 = rs.coords[parse_root(rs, "10")], rs.coords[parse_root(rs, "01")]
+    assert rs.form_value(a1, a2) == -1
+    assert rs.form_value(a1, a1) == 2 == rs.form_value(a2, a2)
 
 
 def test_d4_inner_product_exact_value():
     # (1110, 0111) expands to 0 over the D4 form: the two roots are e1-e4
     # and e2+e3 in the Euclidean model.
     rs = get_system("D4")
-    assert inner_product(rs, parse_root(rs, "1110"), parse_root(rs, "0111")) == 0
+    u, v = rs.coords[parse_root(rs, "1110")], rs.coords[parse_root(rs, "0111")]
+    assert rs.form_value(u, v) == 0
 
 
 @pytest.mark.parametrize("label", ["A3", "B3", "D4", "F4", "G2"])
@@ -226,7 +225,7 @@ def test_form_symmetric_positive_definite(label):
     for k in range(1, n + 1):
         assert _det([row[:k] for row in B[:k]]) > 0
     for i in range(rs.nroots):
-        assert inner_product(rs, i, i) > 0
+        assert rs.form_value(rs.coords[i], rs.coords[i]) > 0
 
 
 def _det(m):
@@ -282,6 +281,10 @@ def test_reflect_requires_simple_root():
 # -- rank-2 subsystems -------------------------------------------------------------
 
 
+def _mask(indices) -> int:
+    return sum(1 << k for k in indices)
+
+
 def _bruteforce_span_members(rs, i, j):
     """Independent exact span test via 2x2 solving over Fractions."""
     u, v = rs.coords[i], rs.coords[j]
@@ -300,23 +303,23 @@ def _bruteforce_span_members(rs, i, j):
 
 def test_rank2_subsystem_a2_is_everything():
     rs = get_system("A2")
-    assert rank2_subsystem(rs, 0, 1) == frozenset(range(3))
+    assert rs.pair_span_mask(0, 1) == 0b111
 
 
 def test_rank2_subsystem_d4_pair():
     rs = get_system("D4")
     i, j = parse_root(rs, "1110"), parse_root(rs, "0111")
-    got = rank2_subsystem(rs, i, j)
-    assert got == frozenset(_bruteforce_span_members(rs, i, j))
-    assert {format_root(rs, k) for k in got} == {"1110", "0111"}
+    got = rs.pair_span_mask(i, j)
+    assert got == _mask(_bruteforce_span_members(rs, i, j))
+    assert {format_root(rs, k) for k in range(rs.nroots) if got >> k & 1} == {"1110", "0111"}
 
 
 def test_rank2_subsystem_f4_contains_eta_sum():
     rs = get_system("F4")
     i, j = parse_root(rs, "1210"), parse_root(rs, "1111")
-    got = rank2_subsystem(rs, i, j)
-    assert parse_root(rs, "2321") in got
-    assert got == frozenset(_bruteforce_span_members(rs, i, j))
+    got = rs.pair_span_mask(i, j)
+    assert got >> parse_root(rs, "2321") & 1
+    assert got == _mask(_bruteforce_span_members(rs, i, j))
 
 
 @pytest.mark.parametrize("label", ["A3", "B3", "D4", "G2", "F4", "E6"])
@@ -324,13 +327,13 @@ def test_rank2_subsystem_agrees_with_bruteforce(label):
     rs = get_system(label)
     for i in range(rs.nroots):
         for j in range(i + 1, rs.nroots):
-            assert rank2_subsystem(rs, i, j) == frozenset(_bruteforce_span_members(rs, i, j))
+            assert rs.pair_span_mask(i, j) == _mask(_bruteforce_span_members(rs, i, j))
 
 
 def test_rank2_subsystem_rejects_equal_roots():
     rs = get_system("A2")
     with pytest.raises(ValueError):
-        rank2_subsystem(rs, 1, 1)
+        rs.pair_span_mask(1, 1)
 
 
 @pytest.mark.parametrize("label", RANK4_TYPES)
@@ -338,8 +341,12 @@ def test_subsystem_lacing_never_exceeds_parent(label):
     rs = get_system(label)
     for i in range(rs.nroots):
         for j in range(i + 1, rs.nroots):
-            view = rs.subsystem_view(sorted(rank2_subsystem(rs, i, j))[:2])
-            assert view.lacing <= rs.lacing
+            span = rs.pair_span_mask(i, j)
+            view = rs.subsystem_view(sorted(k for k in range(rs.nroots) if span >> k & 1)[:2])
+            # squared-length ratio of the view's roots: 1, 2 or 3
+            lengths = {rs.form_value(rs.coords[k], rs.coords[k]) for k in view.parent_indices}
+            ratio = max(lengths) / min(lengths)
+            assert ratio in (1, 2, 3) and ratio <= rs.lacing
 
 
 # -- the root poset -----------------------------------------------------------------
