@@ -8,7 +8,8 @@ Surveys classify every ideal of a type and write a JSON report
 except for the ``timing_seconds`` field.  ``--format csv`` with ``--out
 R.json`` writes the JSON report to ``R.json`` and the CSV table to
 ``R.csv``; an ``--out`` path that already ends in ``.csv`` exits 2, as the
-table would overwrite the report.  Types of rank 7 and up are
+table would overwrite the report, and so does one whose directory does
+not exist, before any ideal is classified.  Types of rank 7 and up are
 refused without ``--force`` (an E8 survey classifies 25080 ideals of up to
 120 roots; expect hours, not minutes).  If ``ROOTARR_CACHE_DIR`` is set,
 survey records are persisted there per (type, schema, source digest) and
@@ -233,13 +234,17 @@ def cmd_survey(args) -> int:
     if label.rank >= 7 and not args.force:
         _err(
             f"{label} has rank {label.rank}; surveys default to rank <= 6 "
-            "(pass --force if you really want this; E7 has 4160 ideals, E8 25080, "
-            "and per-ideal flat tracing (90408 system flats for each E7 ideal) and "
-            "line-closedness grow steeply with the root count)"
+            "(pass --force if you really want this; E7 has 4160 ideals, E8 25080; "
+            "on a 2-vCPU VM an E7 ideal took 0.19 CPU s on average over a random "
+            "sample of 40, and 2.4 s at 60 roots, so a serial E7 survey takes about "
+            "13 minutes)"
         )
         return 2
     if args.format == "csv" and args.out and Path(args.out).suffix == ".csv":
         _err(f"--out {args.out} ends in .csv: --format csv would overwrite the JSON report there")
+        return 2
+    if args.out and not Path(args.out).parent.is_dir():
+        _err(f"--out {args.out}: directory {Path(args.out).parent} does not exist")
         return 2
     report = run_survey(str(label), jobs=args.jobs)
     text = json.dumps(report, indent=2, sort_keys=True)

@@ -8,9 +8,11 @@ coordinate vectors, so they and the characteristic polynomial are exact.
 The flats of the full positive system are generated without elimination,
 as the W-orbits of the standard parabolic flats (``_system_flats``, which
 argues its completeness); the flats of a subarrangement are their traces
-on its ground set.  Line-closedness, chain peeling and the root-ideal
-supersolvability search do not read these flats, so only the generic
-supersolvability search and the characteristic polynomial depend on them.
+on its ground set, and the rank of each trace is read off the order of the
+system flats, again without elimination (``Arrangement.flats`` argues
+it).  Line-closedness, chain peeling and the root-ideal supersolvability
+search do not read these flats, so only the generic supersolvability
+search and the characteristic polynomial depend on them.
 
 An arrangement is line-closed iff every 2-closed subset is a flat, and
 this is decided by a walk over 2-closed states, level by level in rank.
@@ -28,9 +30,18 @@ and by induction a state of the walk; as cl2(cl2(X) + v) = cl2(X + v),
 the walk reaches the failing 2-closure as cl2(F + b) or stops earlier.
 Independent sets of size one and two always pass (singletons are flats;
 the 2-closure of a pair already is its closure), so arrangements of rank
-below three are line-closed.  A direct smallest-first enumeration of all
-2-closed subsets, with its own from-scratch 2-closure, is kept alongside
-as an independent oracle.
+below three are line-closed.
+
+The walk does not grow a child twice from one parent where it can tell in
+advance.  Let C = cl2(S + x) for a state S and a root x outside it, and
+let w outside S lie on the line through x and some y in S.  That line is
+the line through w and y, so x lies in cl2(S + w), which therefore
+contains C; and w lies in C, so cl2(S + w) = C.  Roots found this way,
+starting from x and repeating from each root found, are skipped for S:
+they would only regrow C, which the walk already holds, so the states
+and the witness are those of growing every root.  A direct
+smallest-first enumeration of all 2-closed subsets, with its own
+from-scratch 2-closure, is kept alongside as an independent oracle.
 
 That 2-closure (``two_closure_mask``) follows Falk's definition through
 the lines, the rank-2 flats: a set is 2-closed iff it contains every line
@@ -162,11 +173,15 @@ class Arrangement:
         docstring explains why the walk is complete.  Rank-2 states are
         the distinct pair spans; a rank-(k+1) state is the 2-closure of a
         rank-k state plus one ground root outside it, grown only from the
-        new roots through a pair-span table built for this call.  A new
-        state is a flat iff no ground root outside it reduces to zero
-        against its echelon rows.  The witness is the first new state that
-        is not a flat, in the order rank level, parent mask, added root,
-        so it is the same on every run.
+        new roots through a pair-span table built for this call.  Per
+        parent, ``done`` collects the roots that ``_grow_two_closure``
+        proves would regrow a child already grown; they are skipped, as
+        they would only hit a state already in the next level, so the
+        states reached and their order are those of growing every root.
+        A new state is a flat iff no ground root outside it reduces to
+        zero against its echelon rows.  The witness is the first new state
+        that is not a flat, in the order rank level, parent mask, added
+        root, so it is the same on every run.
         """
         r = self.rank()
         if r < 3:
@@ -187,10 +202,12 @@ class Arrangement:
             nxt: dict[int, list[tuple[int, tuple[int, ...]]]] = {}
             for state in sorted(level):
                 rows, members = level[state], list(_bits(state))
+                done = state
                 for v in g:
-                    if state >> v & 1:
+                    if done >> v & 1:
                         continue
-                    grown = _grow_two_closure(pair, state, members, v)
+                    grown, same = _grow_two_closure(pair, state, members, v)
+                    done |= same
                     if grown in nxt:
                         continue
                     red = _reduce(rows, coords[v])
@@ -245,14 +262,17 @@ class Arrangement:
 
         Derived from the ambient system's flat list: a flat of a
         subarrangement is exactly the trace of an ambient flat on the
-        ground set, with its rank recomputed.
+        ground set.  Its rank is that of the first system flat, in the
+        order (rank, mask), whose trace it is.  For let F0 be that flat and
+        m its trace; the system closure F' of m is a system flat inside F0
+        with trace m and rank rank(m) <= rank(F0).  Were it smaller, F'
+        would come before F0; so rank(F0) = rank(m), and no trace is
+        eliminated.
         """
         if self._flats is None:
             derived: dict[int, int] = {}
-            for fm, _ in _system_flats(self.system):
-                m = fm & self.ground_mask
-                if m not in derived:
-                    derived[m] = len(_echelon(self._vec(i) for i in _bits(m)))
+            for fm, r in _system_flats(self.system):
+                derived.setdefault(fm & self.ground_mask, r)
             self._flats = tuple(
                 Flat(m, r) for m, r in sorted(derived.items(), key=lambda kv: (kv[1], kv[0]))
             )
@@ -284,27 +304,37 @@ class Arrangement:
         return f"Arrangement({self.system.label}, {len(self.ground)} vectors)"
 
 
-def _grow_two_closure(pair: list[list[int]], state: int, members: list[int], v: int) -> int:
+def _grow_two_closure(
+    pair: list[list[int]], state: int, members: list[int], v: int
+) -> tuple[int, int]:
     """The 2-closure of a 2-closed ``state`` (bits ``members``) plus root ``v``.
 
     ``pair[x][y]`` is the trace of the span of roots x and y on the ground
     set.  Pairs inside ``state`` are already closed, so only pairs with a
-    newly added root are examined.
+    newly added root are examined.  Returns ``(grown, same)``: ``same``
+    holds v and roots outside ``state`` that lie on a line through a root
+    already in ``same`` and a root of ``state``, so the 2-closure of
+    ``state`` plus any w in it is ``grown`` (module docstring).  It need
+    not hold every such root: lines are followed only from roots that join
+    ``same`` before the growth visits them.
     """
     out = state | 1 << v
+    same = 1 << v
     new = [v]
     for x in new:  # also visits the roots appended below
         row = pair[x]
         acc = 0
         for y in members:
             acc |= row[y]
+        if same >> x & 1:
+            same |= acc & ~state
         for y in new:
             acc |= row[y]
         add = acc & ~out
         if add:
             out |= add
             new.extend(_bits(add))
-    return out
+    return out, same
 
 
 def _system_flats(system: RootSystem) -> tuple[tuple[int, int], ...]:

@@ -195,6 +195,18 @@ def test_survey_csv_out_ending_in_csv_exits_2(tmp_path, capsys):
     assert not list(tmp_path.iterdir())
 
 
+def test_survey_out_into_missing_directory_exits_2_before_surveying(tmp_path, capsys, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("run_survey called")
+
+    monkeypatch.setattr(cli, "run_survey", never)
+    missing = tmp_path / "no" / "such"
+    code, out, err = run(capsys, "survey", "--type", "A3", "--out", str(missing / "r.json"))
+    assert code == 2 and not out
+    assert str(missing) in err and "does not exist" in err
+    assert not list(tmp_path.iterdir())
+
+
 def test_survey_cache_roundtrip(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("ROOTARR_CACHE_DIR", str(tmp_path / "cache"))
     a, b = tmp_path / "a.json", tmp_path / "b.json"

@@ -2,16 +2,19 @@
 
 Independent oracles: a Fraction-based Gaussian rank function written here,
 the Whitney subset sum for the characteristic polynomial, a level search
-over closures for the system flat lattice, Bell numbers, the classical
-exponents of the Weyl groups, the ideal exponents (the dual partition of
-an ideal's height distribution), and witness identities checked with
-direct vector arithmetic.
+over closures for the system flat lattice and another for the flats of a
+subarrangement, the line-closedness walk without its skip of roots known
+to regrow a child (its witnesses must not change), Bell numbers, the
+classical exponents of the Weyl groups, the ideal exponents (the dual
+partition of an ideal's height distribution), and witness identities
+checked with direct vector arithmetic.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 
 import pytest
@@ -19,8 +22,8 @@ from hypothesis import given, settings, strategies as st
 
 from rootarr import Arrangement, Flat, Ideal, build_root_system, enumerate_ideals, parse_root
 from rootarr.ideals import f4_height4_mask
-from rootarr.matroid import _system_flats
-from rootarr.rootsystem import _echelon, _reduce, _span_mask
+from rootarr.matroid import _grow_two_closure, _system_flats
+from rootarr.rootsystem import _bits, _echelon, _reduce, _span_mask
 from rootarr.suites import poly_from_block_sizes
 from conftest import get_system
 
@@ -89,6 +92,79 @@ def level_search_flats(system) -> tuple[tuple[int, int], ...]:
         level = nxt
         k += 1
     return tuple(out)
+
+
+def walk_without_skip(arr: Arrangement) -> tuple[bool, frozenset[int] | None]:
+    """Line-closedness by the walk over 2-closed states, growing every root.
+
+    ``Arrangement.is_line_closed`` without its skip of roots known to
+    regrow a child: from each state it grows cl2(state + v) for every
+    ground root v outside it, in ground order, and keeps the first new
+    state that is not a flat as the witness.
+    """
+    if arr.rank() < 3:
+        return True, None
+    g, gm, coords = arr.ground, arr.ground_mask, arr.system.coords
+    pair = {i: {j: arr.system.pair_span_mask(i, j) & gm for j in g if j != i} for i in g}
+
+    def grow(state: int, v: int) -> int:
+        out, new = state | 1 << v, [v]
+        for x in new:
+            acc = 0
+            for y in list(_bits(state)) + new:
+                if y != x:
+                    acc |= pair[x][y]
+            add = acc & ~out
+            out |= add
+            new.extend(_bits(add))
+        return out
+
+    level = {}
+    for a, i in enumerate(g):
+        for j in g[a + 1 :]:
+            level.setdefault(pair[i][j], _echelon((coords[i], coords[j])))
+    for _ in range(3, arr.rank() + 1):
+        nxt = {}
+        for state in sorted(level):
+            rows = level[state]
+            for v in g:
+                if state >> v & 1:
+                    continue
+                grown = grow(state, v)
+                if grown in nxt:
+                    continue
+                red = _reduce(rows, coords[v])
+                piv = next(t for t, x in enumerate(red) if x)
+                nxt[grown] = rows + [(piv, tuple(red))]
+                outside = [coords[q] for q in _bits(gm & ~grown)]
+                if _span_mask(nxt[grown], outside):
+                    return False, frozenset(_bits(grown))
+        level = nxt
+    return True, None
+
+
+def closure_level_search(arr: Arrangement) -> tuple[Flat, ...]:
+    """Every flat of an arrangement: closures of a flat plus one ground root.
+
+    Starts from the closure of the empty set; ordered by (rank, members).
+    The flats covering F partition the ground roots outside F, so a root
+    already in a cover of F is not tried again.  Each flat keeps the basis
+    it was reached by, which spans it.
+    """
+    found = [arr.closure([])]
+    level = {found[0]: ()}
+    while level:
+        covers = {}
+        for f, basis in level.items():
+            done = f.members
+            for v in arr.ground:
+                if not done >> v & 1:
+                    cover = arr.closure(basis + (v,))
+                    done |= cover.members
+                    covers.setdefault(cover, basis + (v,))
+        level = covers
+        found += covers
+    return tuple(sorted(found, key=lambda f: (f.rank, f.members)))
 
 
 def star_ideal(rs) -> Ideal:
@@ -338,6 +414,7 @@ def test_line_closed_walk_matches_definition_on_random_subsets(case):
     ok, witness = arr.is_line_closed()
     assert ok == arr.line_closed_by_definition()[0]
     assert (witness is None) == ok
+    assert walk_without_skip(arr) == (ok, witness)
     if witness is not None:
         wmask = sum(1 << i for i in witness)
         assert wmask & ~arr.ground_mask == 0
@@ -372,6 +449,76 @@ def test_rank_closure_and_two_closure_match_brute_force(case, data):
             break
         closed = grown
     assert arr.two_closure_mask(sum(1 << i for i in subset)) == sum(1 << z for z in closed)
+
+
+def pair_table(arr: Arrangement) -> list[list[int]]:
+    """The walk's table: ``pair[x][y]`` is the line through ground roots x and y."""
+    n = arr.system.nroots
+    pair = [[0] * n for _ in range(n)]
+    for x, y in combinations(arr.ground, 2):
+        pair[x][y] = pair[y][x] = arr.system.pair_span_mask(x, y) & arr.ground_mask
+    return pair
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(root_subsets())
+def test_grow_two_closure_same_roots_regrow_the_child(case):
+    # every root in the `same` mask of cl2(S + v) has cl2(S + w) = cl2(S + v),
+    # for every flat S of rank at least 2 (the walk's states) and v outside it
+    label, ground = case
+    arr = Arrangement(get_system(label), ground)
+    pair = pair_table(arr)
+    for flat in arr.flats():
+        if flat.rank < 2:
+            continue
+        state, members = flat.members, list(flat.indices())
+        for v in arr.ground:
+            if state >> v & 1:
+                continue
+            grown, same = _grow_two_closure(pair, state, members, v)
+            assert grown == arr.two_closure_mask(state | 1 << v)
+            assert same >> v & 1 and same & ~grown == 0 and same & state == 0
+            for w in _bits(same):
+                assert _grow_two_closure(pair, state, members, w)[0] == grown
+
+
+@pytest.mark.parametrize("label", ["D4", "F4", "D5", "A5", "B4"])
+def test_walk_skipping_known_children_keeps_every_witness(label):
+    rs = get_system(label)
+    for ideal in enumerate_ideals(rs):
+        arr = Arrangement(rs, ideal.members())
+        assert arr.is_line_closed() == walk_without_skip(arr)
+
+
+# -- flats of a subarrangement ---------------------------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def frac_rank_of_mask(label: str, mask: int) -> int:
+    rs = get_system(label)
+    return frac_rank([rs.coords[i] for i in _bits(mask)])
+
+
+def check_flats(arr: Arrangement) -> None:
+    flats = arr.flats()
+    assert flats == closure_level_search(arr)
+    for f in flats:
+        assert f.rank == frac_rank_of_mask(str(arr.system.label), f.members)
+        assert arr.closure(f.indices()) == f
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(root_subsets())
+def test_flats_of_random_subsets_match_closure_level_search(case):
+    label, ground = case
+    check_flats(Arrangement(get_system(label), ground))
+
+
+@pytest.mark.parametrize("label", ["D4", "F4", "B4", "A5"])
+def test_flats_of_every_ideal_match_closure_level_search(label):
+    rs = get_system(label)
+    for ideal in enumerate_ideals(rs):
+        check_flats(Arrangement(rs, ideal.members()))
 
 
 # -- the system flat lattice ---------------------------------------------------------------
