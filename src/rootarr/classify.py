@@ -186,21 +186,21 @@ def validate_chain_peeling(ideal: Ideal, cert: PartitionCertificate) -> bool:
 
 
 def _arr(system: RootSystem, mask: int) -> Arrangement:
-    arr = system._arrangements.get(mask)
-    if arr is None:
-        arr = system._arrangements[mask] = Arrangement(system, _bits(mask))
-    return arr
+    return Arrangement(system, _bits(mask))
 
 
-def _generic_search(system: RootSystem, mask: int) -> Optional[tuple[int, ...]]:
-    """Blocks as masks, bottom-up, or None; memoized on the ground mask."""
+def _generic_search(arr: Arrangement) -> Optional[tuple[int, ...]]:
+    """Blocks as masks, bottom-up, or None; memoized on the ground mask.
+
+    A coatom's arrangement is built only on a memo miss, and nothing keeps it.
+    """
+    system, mask = arr.system, arr.ground_mask
     memo = system._generic_ss_memo
     if mask in memo:
         return memo[mask]
     if mask == 0:
         memo[mask] = ()
         return ()
-    arr = _arr(system, mask)
     r = arr.rank()
     result = None
     for f in arr.flats():
@@ -219,7 +219,7 @@ def _generic_search(system: RootSystem, mask: int) -> Optional[tuple[int, ...]]:
                 break
         if not ok:
             continue
-        sub = _generic_search(system, f.members)
+        sub = memo[f.members] if f.members in memo else _generic_search(_arr(system, f.members))
         if sub is not None:
             result = sub + (pi,)
             break
@@ -234,7 +234,7 @@ def is_supersolvable_generic(arr: Arrangement) -> Optional[PartitionCertificate]
     flat met by the pair-closure of each of the block's pairs, recursing on
     the flat.  Deterministic: coatoms are tried in flat order.
     """
-    blocks = _generic_search(arr.system, arr.ground_mask)
+    blocks = _generic_search(arr)
     if blocks is None:
         return None
     return PartitionCertificate(

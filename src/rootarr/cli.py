@@ -8,14 +8,14 @@ Surveys classify every ideal of a type and write a JSON report
 except for the ``timing_seconds`` field.  ``--format csv`` with ``--out
 R.json`` writes the JSON report to ``R.json`` and the CSV table to
 ``R.csv``; an ``--out`` path that already ends in ``.csv`` exits 2, as the
-table would overwrite the report, and so does one whose directory does
-not exist, before any ideal is classified.  Types of rank 7 and up are
-refused without ``--force`` (an E8 survey classifies 25080 ideals of up to
-120 roots; expect hours, not minutes).  If ``ROOTARR_CACHE_DIR`` is set,
-survey records are persisted there per (type, schema, source digest) and
-reused; the digest covers the package's modules, and storing a type's
-records removes that type's files written under any other schema or
-digest.
+table would overwrite the report, and so does one that is a directory or
+whose directory does not exist, before any ideal is classified.  Types of
+rank 7 and up are refused without ``--force`` (an E8 survey classifies
+25080 ideals of up to 120 roots; expect hours, not minutes).  If
+``ROOTARR_CACHE_DIR`` is set, survey records are persisted there per
+(type, schema, source digest) and reused; the digest covers the package's
+modules, and storing a type's records removes that type's files written
+under any other schema or digest.
 """
 
 from __future__ import annotations
@@ -245,6 +245,9 @@ def cmd_survey(args) -> int:
         return 2
     if args.out and not Path(args.out).parent.is_dir():
         _err(f"--out {args.out}: directory {Path(args.out).parent} does not exist")
+        return 2
+    if args.out and Path(args.out).is_dir():
+        _err(f"--out {args.out} is a directory, not a report file")
         return 2
     report = run_survey(str(label), jobs=args.jobs)
     text = json.dumps(report, indent=2, sort_keys=True)

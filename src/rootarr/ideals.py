@@ -65,7 +65,8 @@ class Ideal:
 
         Generators are comma-separated digit strings; use ';' between
         generators if the roots themselves need the comma coordinate form.
-        A single comma-form root ("1,2,1,1") is also accepted.
+        A single comma-form root ("1,2,1,1") is also accepted.  Empty text
+        is the empty ideal; separators alone (",", " ; ") raise ValueError.
         """
         text = text.strip()
         if not text:
@@ -74,6 +75,8 @@ class Ideal:
             tokens = [t for t in text.split(";") if t.strip()]
         else:
             tokens = [t for t in text.split(",") if t.strip()]
+        if not tokens:
+            raise ValueError(f"generator text {text!r} names no root")
         try:
             roots = [parse_root(system, t) for t in tokens]
         except ValueError as token_error:

@@ -83,9 +83,9 @@ class Arrangement:
 
     ``ground`` holds root indices of the ambient system.  Distinct positive
     roots are never parallel, so any subset of them qualifies.  Instances
-    are immutable apart from memo caches, which never change a result:
-    the rank, lines, flats and the characteristic polynomial are memoized
-    lazily.
+    are immutable apart from memo caches, which never change a result: the
+    rank, lines, flats and characteristic polynomial are memoized lazily and
+    live as long as the instance, which nothing in the package keeps.
     """
 
     def __init__(self, system: RootSystem, ground: Iterable[int]):
@@ -125,7 +125,8 @@ class Arrangement:
         """All ground vectors in the rational span of the subset."""
         s = self._check_subset(subset)
         rows = _echelon(self._vec(i) for i in s)
-        return Flat(_span_mask(rows, self.system.coords) & self.ground_mask, len(rows))
+        spanned = (i for i in self.ground if not any(_reduce(rows, self._vec(i))))
+        return Flat(_mask_of(spanned), len(rows))
 
     def _pair_mask(self, i: int, j: int) -> int:
         return self.system.pair_span_mask(i, j) & self.ground_mask

@@ -293,10 +293,8 @@ class RootSystem(_RootTable):
         )
         self._pair_span: dict[tuple[int, int], int] = {}
         self._views: dict[tuple[int, ...], "object"] = {}
-        # Filled by matroid._system_flats, classify._arr and
-        # classify._generic_search respectively.
+        # Filled by matroid._system_flats and classify._generic_search.
         self._full_flats: tuple[tuple[int, int], ...] | None = None
-        self._arrangements: dict[int, "object"] = {}
         self._generic_ss_memo: dict[int, object] = {}
 
     # -- construction ----------------------------------------------------

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import gc
+
 import pytest
 
 from rootarr import (
     Arrangement,
     Ideal,
     chain_peeling,
+    classify,
     classify_ideal,
     enumerate_ideals,
     exponents,
@@ -18,6 +21,7 @@ from rootarr import (
 )
 from rootarr.classify import validate_chain_peeling, validate_supersolving
 from rootarr.ideals import f4_height4_mask, find_star_ideal, g_set_mask, restrict_mask
+from rootarr.rootsystem import build_root_system
 from rootarr.suites import poly_from_block_sizes
 from conftest import classify_type, get_system
 
@@ -281,6 +285,26 @@ def test_classify_f4_low_ideal_all_true():
 def test_classify_multiply_laced_all_true(label):
     for record in classify_type(label):
         assert record.chain_peelable and record.supersolvable and record.line_closed
+
+
+@pytest.mark.parametrize("label", ["D4", "F4"])
+def test_no_arrangement_outlives_classification(label, monkeypatch):
+    rs = build_root_system(label)  # fresh: other tests' cached systems do not count
+    built = []
+
+    class Counted(Arrangement):
+        def __init__(self, system, ground):
+            super().__init__(system, ground)
+            built.append(self.ground_mask)
+
+    monkeypatch.setattr(classify, "Arrangement", Counted)
+    # Largest first, so coatom sub-searches miss the memo and build arrangements.
+    ideals = sorted(enumerate_ideals(rs), key=lambda i: -i.size)
+    for ideal in ideals:
+        classify_ideal(ideal)
+    gc.collect()
+    assert not [o for o in gc.get_objects() if isinstance(o, Arrangement) and o.system is rs]
+    assert len(built) > len(ideals)  # one per ideal, and the coatoms' own
 
 
 def test_classify_rejects_view_ideals():

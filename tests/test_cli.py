@@ -93,6 +93,12 @@ def test_classify_names_the_bad_generator(capsys):
     assert code == 2 and "'9999'" in err and "1110,9999" not in err
 
 
+def test_classify_separators_alone_exit_2(capsys):
+    code, out, err = run(capsys, "classify", "--type", "D4", "--ideal", " ; ")
+    assert code == 2 and not out
+    assert "names no root" in err
+
+
 def test_classify_violation_prints_the_reproducing_command(capsys, monkeypatch):
     monkeypatch.setattr(classify, "chain_peeling", lambda ideal: None)
     code, out, err = run(capsys, "classify", "--type", "D4", "--ideal", "1100,0100,0110")
@@ -204,6 +210,17 @@ def test_survey_out_into_missing_directory_exits_2_before_surveying(tmp_path, ca
     code, out, err = run(capsys, "survey", "--type", "A3", "--out", str(missing / "r.json"))
     assert code == 2 and not out
     assert str(missing) in err and "does not exist" in err
+    assert not list(tmp_path.iterdir())
+
+
+def test_survey_out_into_a_directory_exits_2_before_surveying(tmp_path, capsys, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("run_survey called")
+
+    monkeypatch.setattr(cli, "run_survey", never)
+    code, out, err = run(capsys, "survey", "--type", "A2", "--out", str(tmp_path))
+    assert code == 2 and not out
+    assert str(tmp_path) in err and "is a directory" in err
     assert not list(tmp_path.iterdir())
 
 

@@ -130,6 +130,9 @@ def test_ideal_parse_forms():
     assert Ideal.parse(d4, "").mask == 0
     with pytest.raises(ValueError):
         Ideal.parse(d4, "zzz")
+    for text in (",", ";", " ; ", ",,", ";;"):
+        with pytest.raises(ValueError, match="names no root"):
+            Ideal.parse(d4, text)
 
 
 # -- principal filters ----------------------------------------------------------
