@@ -7,15 +7,12 @@ Surveys classify every ideal of a type and write a JSON report
 (``schema: 2``); identical invocations produce byte-identical output
 except for the ``timing_seconds`` field.  ``--format csv`` with ``--out
 R.json`` writes the JSON report to ``R.json`` and the CSV table to
-``R.csv``; an ``--out`` path that already ends in ``.csv`` exits 2, as the
-table would overwrite the report, and so does one that is a directory or
-whose directory does not exist, before any ideal is classified.  Types of
-rank 7 and up are refused without ``--force`` (an E8 survey classifies
-25080 ideals of up to 120 roots; expect hours, not minutes).  If
-``ROOTARR_CACHE_DIR`` is set, survey records are persisted there per
-(type, schema, source digest) and reused; the digest covers the package's
-modules, and storing a type's records removes that type's files written
-under any other schema or digest.
+``R.csv``.  Before any ideal is classified, the survey exits 2 if
+``--out`` ends in ``.csv`` (the table would overwrite the report), is a
+directory, lies in a directory that does not exist, or, with ``--format
+csv``, if ``R.csv`` is a directory.  Types of rank 7 and up are refused
+without ``--force`` (an E8 survey classifies 25080 ideals of up to 120
+roots; expect hours, not minutes).
 """
 
 from __future__ import annotations
@@ -23,7 +20,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -123,19 +119,16 @@ def run_survey(type_str: str, jobs: int = 1) -> dict:
     """
     rs = _load_system(type_str)
     started = time.perf_counter()
-    results = _cache_load(type_str)
-    if results is None:
-        masks = [ideal.mask for ideal in enumerate_ideals(rs)]
-        if jobs > 1:
-            with ProcessPoolExecutor(
-                max_workers=jobs, initializer=_worker_init, initargs=(type_str,)
-            ) as pool:
-                results = list(pool.map(_classify_mask, masks, chunksize=8))
-        else:
-            _worker_init(type_str)
-            results = [_classify_mask(m) for m in masks]
-        results.sort(key=lambda r: (r[1], r[0]))
-        _cache_store(type_str, results)
+    masks = [ideal.mask for ideal in enumerate_ideals(rs)]
+    if jobs > 1:
+        with ProcessPoolExecutor(
+            max_workers=jobs, initializer=_worker_init, initargs=(type_str,)
+        ) as pool:
+            results = list(pool.map(_classify_mask, masks, chunksize=8))
+    else:
+        _worker_init(type_str)
+        results = [_classify_mask(m) for m in masks]
+    results.sort(key=lambda r: (r[1], r[0]))
 
     records = [rec for _, _, rec, _ in results if rec is not None]
     violations = [msg for _, _, _, msg in results if msg is not None]
@@ -159,51 +152,6 @@ def run_survey(type_str: str, jobs: int = 1) -> dict:
         "violations": violations,
         "timing_seconds": round(time.perf_counter() - started, 6),
     }
-
-
-def _source_digest() -> str:
-    """sha256 over the package's modules, so cached records follow the code."""
-    # Imported here: hashlib adds about 3.5 MB to every process otherwise.
-    import hashlib
-
-    digest = hashlib.sha256()
-    for src in sorted(Path(__file__).parent.glob("*.py")):
-        digest.update(src.name.encode() + b"\0" + src.read_bytes() + b"\0")
-    return digest.hexdigest()
-
-
-def _cache_path(type_str: str) -> Path | None:
-    root = os.environ.get("ROOTARR_CACHE_DIR")
-    if not root:
-        return None
-    return Path(root) / f"survey-{type_str}-schema{SCHEMA}-{_source_digest()[:16]}.json"
-
-
-def _cache_load(type_str: str):
-    path = _cache_path(type_str)
-    if path is None or not path.is_file():
-        return None
-    try:
-        data = json.loads(path.read_text())
-        return [tuple(row) for row in data["results"]]
-    except (KeyError, ValueError, OSError):
-        return None
-
-
-def _cache_store(type_str: str, results) -> None:
-    path = _cache_path(type_str)
-    if path is None:
-        return
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        tmp.write_text(json.dumps({"results": results}))
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
-    for stale in path.parent.glob(f"survey-{type_str}-schema*-*.json"):
-        if stale != path:
-            stale.unlink(missing_ok=True)
 
 
 def _write_csv(report: dict, stream) -> None:
@@ -249,13 +197,17 @@ def cmd_survey(args) -> int:
     if args.out and Path(args.out).is_dir():
         _err(f"--out {args.out} is a directory, not a report file")
         return 2
+    table = Path(args.out).with_suffix(".csv") if args.out and args.format == "csv" else None
+    if table and table.is_dir():
+        _err(f"--out {args.out}: the CSV table would go to {table}, which is a directory")
+        return 2
     report = run_survey(str(label), jobs=args.jobs)
     text = json.dumps(report, indent=2, sort_keys=True)
     if args.out:
         Path(args.out).write_text(text + "\n")
     if args.format == "csv":
-        if args.out:
-            with open(Path(args.out).with_suffix(".csv"), "w", newline="") as fh:
+        if table:
+            with open(table, "w", newline="") as fh:
                 _write_csv(report, fh)
         else:
             _write_csv(report, sys.stdout)
@@ -288,7 +240,7 @@ def _print_summary(report: dict) -> None:
 def cmd_verify(args) -> int:
     suite_names = list(dict.fromkeys(args.suite or sorted(SUITES)))
     types = "A2,A3,B2,B3,C3,D4,G2" if args.types is None else args.types
-    labels = [TypeLabel.parse(t) for t in types.split(",") if t]
+    labels = list(dict.fromkeys(TypeLabel.parse(t) for t in types.split(",") if t))
     if not labels:
         _err("--types names no type")
         return 2

@@ -224,31 +224,27 @@ def test_survey_out_into_a_directory_exits_2_before_surveying(tmp_path, capsys, 
     assert not list(tmp_path.iterdir())
 
 
-def test_survey_cache_roundtrip(tmp_path, capsys, monkeypatch):
+def test_survey_csv_table_into_a_directory_exits_2_before_surveying(tmp_path, capsys, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("run_survey called")
+
+    monkeypatch.setattr(cli, "run_survey", never)
+    (tmp_path / "r.csv").mkdir()
+    out_file = tmp_path / "r.json"
+    code, out, err = run(capsys, "survey", "--type", "A2", "--format", "csv", "--out", str(out_file))
+    assert code == 2 and not out
+    assert str(tmp_path / "r.csv") in err and "is a directory" in err
+    assert [p.name for p in tmp_path.iterdir()] == ["r.csv"]
+
+
+@pytest.mark.parametrize("fmt, written", [("json", ["r.json"]), ("csv", ["r.csv", "r.json"])])
+def test_survey_writes_only_its_report(tmp_path, capsys, monkeypatch, fmt, written):
+    # no records persist between runs, whatever the environment names
     monkeypatch.setenv("ROOTARR_CACHE_DIR", str(tmp_path / "cache"))
-    a, b = tmp_path / "a.json", tmp_path / "b.json"
-    run(capsys, "survey", "--type", "B2", "--out", str(a))
-    cache_files = list((tmp_path / "cache").glob("survey-B2-*.json"))
-    assert len(cache_files) == 1
-    run(capsys, "survey", "--type", "B2", "--out", str(b))
-    ra, rb = json.loads(a.read_text()), json.loads(b.read_text())
-    assert ra["records"] == rb["records"]
-    assert not list((tmp_path / "cache").glob(".*.tmp"))
-
-
-def test_survey_cache_ignores_other_source_digest(tmp_path, monkeypatch):
-    monkeypatch.setenv("ROOTARR_CACHE_DIR", str(tmp_path))
-    current = cli._source_digest
-    monkeypatch.setattr(cli, "_source_digest", lambda: "0" * 64)
-    # an empty record list stands for records other code produced
-    old = cli._cache_path("B2")
-    old.write_text(json.dumps({"results": []}))
-    assert cli.run_survey("B2")["ideal_count"] == 0
-    monkeypatch.setattr(cli, "_source_digest", current)
-    assert cli.run_survey("B2")["ideal_count"] == 6
-    # storing the fresh records removes the file of the other digest
-    assert not old.exists()
-    assert [p.name for p in tmp_path.glob("survey-B2-*.json")] == [cli._cache_path("B2").name]
+    for _ in range(2):
+        code, *_ = run(capsys, "survey", "--type", "B2", "--format", fmt, "--out", str(tmp_path / "r.json"))
+        assert code == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == written
 
 
 # -- verify ----------------------------------------------------------------------
@@ -278,11 +274,14 @@ def test_verify_all_default_types(capsys):
 
 
 def test_verify_repeated_suite_runs_once(capsys):
+    # a2 and A2 are one type; each type and suite runs once, in order of first mention
     code, out, _ = run(
-        capsys, "verify", "--types", "G2", "--suite", "rank2", "--suite", "twocases", "--suite", "rank2"
+        capsys, "verify", "--types", "G2,A2,g2,a2", "--suite", "rank2", "--suite", "twocases", "--suite", "rank2"
     )
     assert code == 0
-    assert [line.split()[0] for line in out.splitlines()] == ["rank2", "twocases"]
+    assert [line.split()[:2] for line in out.splitlines()] == [
+        ["rank2", "G2:"], ["twocases", "G2:"], ["rank2", "A2:"], ["twocases", "A2:"]
+    ]
 
 
 def test_verify_empty_type_list_exits_2(capsys):
