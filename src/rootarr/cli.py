@@ -2,6 +2,8 @@
 
 Exit codes: 0 on success, 1 when a property suite or the predicate
 equivalence fails, 2 on usage errors (unknown type, unparsable roots).
+Only input parsing is mapped to exit 2: an exception raised inside
+classification or a suite is a fault and propagates with its traceback.
 
 Surveys classify every ideal of a type and write a JSON report
 (``schema: 2``); identical invocations produce byte-identical output
@@ -38,8 +40,24 @@ def _err(msg: str) -> None:
     print(f"rootarr: error: {msg}", file=sys.stderr)
 
 
+class _UsageError(Exception):
+    """Bad command-line input; ``main`` prints it and exits 2."""
+
+
+def _parse(parse, *args):
+    """``parse(*args)``, its ``ValueError`` raised as a usage error.
+
+    Only input parsing goes through here, so a ``ValueError`` from inside
+    classification or a suite is a fault and propagates as one.
+    """
+    try:
+        return parse(*args)
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from exc
+
+
 def _load_system(type_str: str) -> RootSystem:
-    return build_root_system(TypeLabel.parse(type_str))
+    return build_root_system(_parse(TypeLabel.parse, type_str))
 
 
 # -- show ---------------------------------------------------------------------
@@ -76,7 +94,7 @@ def cmd_show(args) -> int:
 
 def cmd_classify(args) -> int:
     rs = _load_system(args.type)
-    ideal = Ideal.parse(rs, args.ideal)
+    ideal = _parse(Ideal.parse, rs, args.ideal)
     try:
         record = classify_ideal(ideal)
     except EquivalenceViolation as exc:
@@ -175,7 +193,7 @@ def _write_csv(report: dict, stream) -> None:
 
 
 def cmd_survey(args) -> int:
-    label = TypeLabel.parse(args.type)
+    label = _parse(TypeLabel.parse, args.type)
     if args.jobs < 1:
         _err(f"--jobs must be at least 1, got {args.jobs}")
         return 2
@@ -240,7 +258,7 @@ def _print_summary(report: dict) -> None:
 def cmd_verify(args) -> int:
     suite_names = list(dict.fromkeys(args.suite or sorted(SUITES)))
     types = "A2,A3,B2,B3,C3,D4,G2" if args.types is None else args.types
-    labels = list(dict.fromkeys(TypeLabel.parse(t) for t in types.split(",") if t))
+    labels = list(dict.fromkeys(_parse(TypeLabel.parse, t) for t in types.split(",") if t))
     if not labels:
         _err("--types names no type")
         return 2
@@ -314,7 +332,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
+    except _UsageError as exc:
         _err(str(exc))
         return 2
 

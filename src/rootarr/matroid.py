@@ -351,11 +351,19 @@ def _system_flats(system: RootSystem) -> tuple[tuple[int, int], ...]:
     flats of the same rank; and by Steinberg's theorem the roots of a flat
     (those orthogonal to its intersection subspace) form a parabolic
     subsystem, which is W-conjugate to some standard one.
+
+    Each simple reflection is applied as bit images built once from
+    ``reflect``: ``img[g]`` is the one-bit mask of the image of root g.
+    The bits the reflection fixes are copied unchanged, and only the moved
+    bits of a mask are looked up, lowest set bit first.
     """
     if system._full_flats is not None:
         return system._full_flats
     n = system.nroots
-    gens = [[reflect(system, a, g)[1] for g in range(n)] for a in system.simple_positions]
+    gens = []
+    for a in system.simple_positions:
+        img = [1 << reflect(system, a, g)[1] for g in range(n)]
+        gens.append((img, _mask_of(g for g in range(n) if img[g] != 1 << g)))
     support = [_mask_of(t for t, x in enumerate(v) if x) for v in system.coords]
     seen: dict[int, int] = {}
     for j in range(1 << system.rank):
@@ -366,8 +374,13 @@ def _system_flats(system: RootSystem) -> tuple[tuple[int, int], ...]:
         seen[start] = rank
         orbit = [start]
         for mask in orbit:  # also visits the masks appended below
-            for perm in gens:
-                image = _mask_of(perm[g] for g in _bits(mask))
+            for img, moved in gens:
+                m = mask & moved
+                image = mask ^ m
+                while m:
+                    low = m & -m
+                    image |= img[low.bit_length() - 1]
+                    m ^= low
                 if image not in seen:
                     seen[image] = rank
                     orbit.append(image)

@@ -201,6 +201,23 @@ class _RootTable:
     coords: tuple[tuple[int, ...], ...]
 
     def _finish(self, coords: list[tuple[int, ...]]) -> None:
+        """Fix the root order and derive the order masks from the covers.
+
+        Roots are sorted by height, so each root comes after the roots it
+        covers.  Root v covers v - e_k whenever that vector is a root, and
+        ``down[i]`` is root i with the down sets of the roots it covers;
+        ``up`` is the transpose of ``down``.  The covers generate the
+        componentwise order: if beta < gamma, then gamma - beta =
+        sum c_k alpha_k is nonzero with c_k >= 0, so its norm
+        sum c_k (gamma - beta, alpha_k) is positive and some k with c_k > 0
+        has (gamma - beta, alpha_k) > 0.  Then (gamma, alpha_k) > 0, and
+        gamma - alpha_k is a root with beta <= gamma - alpha_k (gamma is not
+        alpha_k, which has no positive root below it); or (beta, alpha_k) < 0,
+        and beta + alpha_k is a root with beta + alpha_k <= gamma.  Either
+        way a cover shortens the gap, and induction on the height difference
+        does the rest.  A subsystem view's simple basis is a base of its
+        roots, so the argument holds there too.
+        """
         coords.sort(key=lambda v: (sum(v), v))
         self.coords = tuple(coords)
         self.nroots = len(coords)
@@ -208,21 +225,22 @@ class _RootTable:
         self.heights = tuple(sum(v) for v in self.coords)
         n, m = self.rank, self.nroots
         down = [0] * m  # down[i]: mask of j with root_j <= root_i
+        covers = []
+        for i, v in enumerate(self.coords):
+            acc = 1 << i
+            for k in range(n):
+                if v[k]:
+                    j = self.index_of.get(v[:k] + (v[k] - 1,) + v[k + 1 :])
+                    if j is not None:
+                        acc |= down[j]
+                        covers.append((j, i))
+            down[i] = acc
         up = [0] * m
-        for i, vi in enumerate(self.coords):
-            for j, vj in enumerate(self.coords):
-                if all(a <= b for a, b in zip(vj, vi)):
-                    down[i] |= 1 << j
-                    up[j] |= 1 << i
+        for i, d in enumerate(down):
+            for j in _bits(d):
+                up[j] |= 1 << i
         self.down_masks = tuple(down)
         self.up_masks = tuple(up)
-        covers = []
-        for i, vi in enumerate(self.coords):
-            for j, vj in enumerate(self.coords):
-                if down[j] >> i & 1 and i != j:
-                    diff = tuple(b - a for a, b in zip(vi, vj))
-                    if sum(diff) == 1:
-                        covers.append((i, j))
         self.cover_pairs = tuple(sorted(covers))
         # Positions of the unit vectors (the table's simple roots).
         simple = [None] * n

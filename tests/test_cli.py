@@ -177,6 +177,26 @@ def test_survey_worker_crash_names_the_ideal(capsys, monkeypatch):
     assert isinstance(exc.value.__cause__, KeyError)
 
 
+def test_classify_fault_is_not_a_usage_error(capsys, monkeypatch):
+    def broken(ideal):
+        raise ValueError("fault inside classification")
+
+    monkeypatch.setattr(cli, "classify_ideal", broken)
+    with pytest.raises(ValueError, match="fault inside classification"):
+        main(["classify", "--type", "A2", "--ideal", "11"])
+    assert "rootarr: error" not in capsys.readouterr().err
+
+
+def test_verify_fault_is_not_a_usage_error(capsys, monkeypatch):
+    def broken(rs):
+        raise ValueError("fault inside a suite")
+
+    monkeypatch.setitem(cli.SUITES, "rank2", broken)
+    with pytest.raises(ValueError, match="fault inside a suite"):
+        main(["verify", "--suite", "rank2", "--types", "A2"])
+    assert "rootarr: error" not in capsys.readouterr().err
+
+
 def test_survey_rank7_needs_force(capsys):
     code, _, err = run(capsys, "survey", "--type", "E7")
     assert code == 2 and "--force" in err

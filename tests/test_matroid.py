@@ -3,11 +3,12 @@
 Independent oracles: a Fraction-based Gaussian rank function written here,
 the Whitney subset sum for the characteristic polynomial, a level search
 over closures for the system flat lattice and another for the flats of a
-subarrangement, the line-closedness walk without its skip of roots known
-to regrow a child (its witnesses must not change), Bell numbers, the
-classical exponents of the Weyl groups, the ideal exponents (the dual
-partition of an ideal's height distribution), and witness identities
-checked with direct vector arithmetic.
+subarrangement, the W-orbit search with reflections applied as
+permutations bit by bit, the line-closedness walk without its skip of
+roots known to regrow a child (its witnesses must not change), Bell
+numbers, the classical exponents of the Weyl groups, the ideal exponents
+(the dual partition of an ideal's height distribution), and witness
+identities checked with direct vector arithmetic.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from hypothesis import given, settings, strategies as st
 from rootarr import Arrangement, Flat, Ideal, build_root_system, enumerate_ideals, parse_root
 from rootarr.ideals import f4_height4_mask
 from rootarr.matroid import _grow_two_closure, _system_flats
-from rootarr.rootsystem import _bits, _echelon, _reduce, _span_mask
+from rootarr.rootsystem import _bits, _echelon, _mask_of, _reduce, _span_mask, reflect
 from rootarr.suites import poly_from_block_sizes
 from conftest import get_system
 
@@ -92,6 +93,32 @@ def level_search_flats(system) -> tuple[tuple[int, int], ...]:
         level = nxt
         k += 1
     return tuple(out)
+
+
+def orbit_search_flats(system) -> tuple[tuple[int, int], ...]:
+    """All flats (mask, rank) of the full positive system, as W-orbits.
+
+    The same search as ``_system_flats``, but each simple reflection is a
+    permutation of root indices applied bit by bit, with no bit images and
+    no copying of fixed bits.  Ordered by (rank, mask).
+    """
+    n = system.nroots
+    gens = [[reflect(system, a, g)[1] for g in range(n)] for a in system.simple_positions]
+    support = [_mask_of(t for t, x in enumerate(v) if x) for v in system.coords]
+    seen: dict[int, int] = {}
+    for j in range(1 << system.rank):
+        start = _mask_of(g for g in range(n) if support[g] & ~j == 0)
+        if start in seen:
+            continue
+        seen[start] = j.bit_count()
+        orbit = [start]
+        for mask in orbit:
+            for perm in gens:
+                image = _mask_of(perm[g] for g in _bits(mask))
+                if image not in seen:
+                    seen[image] = j.bit_count()
+                    orbit.append(image)
+    return tuple(sorted(seen.items(), key=lambda t: (t[1], t[0])))
 
 
 def walk_without_skip(arr: Arrangement) -> tuple[bool, frozenset[int] | None]:
@@ -531,6 +558,17 @@ def test_flats_of_every_ideal_match_closure_level_search(label):
 def test_system_flats_match_level_search(label):
     rs = build_root_system(label)
     assert _system_flats(rs) == level_search_flats(rs)
+
+
+def test_e6_system_flats_match_orbit_search():
+    rs = build_root_system("E6")
+    flats = _system_flats(rs)
+    assert len(flats) == 4598
+    assert flats == orbit_search_flats(rs)
+
+
+def test_e7_system_flat_count():
+    assert len(_system_flats(build_root_system("E7"))) == 90408
 
 
 @pytest.mark.parametrize(

@@ -2,8 +2,9 @@
 
 Oracles used here are independent of the construction path: closed-form
 root counts, Euclidean coordinate models for the inner product, the orbit
-of the simple roots under all simple reflections, and direct Dynkin-graph
-reasoning for support connectivity.
+of the simple roots under all simple reflections, direct Dynkin-graph
+reasoning for support connectivity, and a comparison of every pair of
+roots for the order masks and covers.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from rootarr import (
     parse_root,
     reflect,
 )
-from conftest import get_system
+from conftest import classify_type, get_system
 
 ALL_TYPES = (
     [f"A{n}" for n in range(1, 9)]
@@ -392,6 +393,41 @@ def test_cover_height_consistency(label):
         reach[i] = acc
     for i in range(rs.nroots):
         assert reach[i] == {j for j in range(rs.nroots) if rs.leq(i, j)}
+
+
+def componentwise_order(coords) -> tuple[tuple[int, ...], tuple[int, ...], tuple]:
+    """Down masks, up masks and covers, by comparing every pair of roots.
+
+    The O(n^2) reference for the cover-derived order: j is below i iff
+    coords[j] <= coords[i] in every coordinate, and (j, i) is a cover iff
+    moreover the heights differ by one.
+    """
+    m = len(coords)
+    down, up, covers = [0] * m, [0] * m, []
+    for i, vi in enumerate(coords):
+        for j, vj in enumerate(coords):
+            if all(a <= b for a, b in zip(vj, vi)):
+                down[i] |= 1 << j
+                up[j] |= 1 << i
+                if sum(vi) == sum(vj) + 1:
+                    covers.append((j, i))
+    return tuple(down), tuple(up), tuple(sorted(covers))
+
+
+@pytest.mark.parametrize("label", ALL_TYPES)
+def test_order_masks_match_componentwise_order(label):
+    rs = get_system(label)
+    assert (rs.down_masks, rs.up_masks, rs.cover_pairs) == componentwise_order(rs.coords)
+
+
+@pytest.mark.parametrize("label", ["F4", "D5", "B4"])
+def test_subsystem_view_order_matches_componentwise_order(label):
+    classify_type(label)  # the root-ideal search builds the views
+    views = list(get_system(label)._views.values())
+    assert views
+    for view in views:
+        got = (view.down_masks, view.up_masks, view.cover_pairs)
+        assert got == componentwise_order(view.coords), view
 
 
 @pytest.mark.parametrize("label", ALL_TYPES)
