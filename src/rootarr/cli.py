@@ -133,8 +133,11 @@ def run_survey(type_str: str, jobs: int = 1) -> dict:
     """Classify every ideal of a type; returns the report as a dict.
 
     The record list is sorted canonically and is identical for serial and
-    parallel runs.
+    parallel runs.  A serial survey classifies in this process, on a
+    system built like a worker's, and releases it (and its memos) on
+    return.
     """
+    global _WORKER_SYSTEM
     rs = _load_system(type_str)
     started = time.perf_counter()
     masks = [ideal.mask for ideal in enumerate_ideals(rs)]
@@ -145,7 +148,10 @@ def run_survey(type_str: str, jobs: int = 1) -> dict:
             results = list(pool.map(_classify_mask, masks, chunksize=8))
     else:
         _worker_init(type_str)
-        results = [_classify_mask(m) for m in masks]
+        try:
+            results = [_classify_mask(m) for m in masks]
+        finally:
+            _WORKER_SYSTEM = None
     results.sort(key=lambda r: (r[1], r[0]))
 
     records = [rec for _, _, rec, _ in results if rec is not None]
@@ -201,9 +207,7 @@ def cmd_survey(args) -> int:
         _err(
             f"{label} has rank {label.rank}; surveys default to rank <= 6 "
             "(pass --force if you really want this; E7 has 4160 ideals, E8 25080; "
-            "on a 2-vCPU VM an E7 ideal took 0.19 CPU s on average over a random "
-            "sample of 40, and 2.4 s at 60 roots, so a serial E7 survey takes about "
-            "13 minutes)"
+            "on a shared 2-vCPU VM a serial E7 survey took about 3 CPU minutes)"
         )
         return 2
     if args.format == "csv" and args.out and Path(args.out).suffix == ".csv":

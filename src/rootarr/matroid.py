@@ -1,9 +1,9 @@
 """Exact linear-algebraic matroid layer over a set of positive roots.
 
 An arrangement is a set of pairwise non-parallel vectors; here the vectors
-are positive roots of one system, identified by root index.  Closures,
-ranks and flatness tests use fraction-free integer elimination on the
-coordinate vectors, so they and the characteristic polynomial are exact.
+are positive roots of one system, identified by root index.  Ranks and
+flatness tests use fraction-free integer elimination on the coordinate
+vectors, so they and the characteristic polynomial are exact.
 
 The flats of the full positive system are generated without elimination,
 as the W-orbits of the standard parabolic flats (``_system_flats``, which
@@ -43,6 +43,25 @@ and the witness are those of growing every root.  A direct
 smallest-first enumeration of all 2-closed subsets, with its own
 from-scratch 2-closure, is kept alongside as an independent oracle.
 
+The flatness test of a new state goes through a join memo on the system,
+``RootSystem._joins``, filled lazily by ``_join``.  Each state S carries a
+key: a mask of system roots that contains S and lies in span(S), so
+span(key) = span(S).  The entry ``(key, v) -> [covered, cls]`` holds in
+``covered`` the key, v and every root tested so far, and in ``cls`` those
+of them outside the key that lie in span(key + v).  A lookup tests only
+the ground roots not yet covered, reducing them against the echelon rows
+of S + v, so a first lookup does the work of a plain flatness test and a
+repeated one none.  The entry depends only on span(key), never on the
+ground set, so it serves every ideal of the system.  The new state
+grown = cl2(S + v) contains S and v and lies in span(S + v), so its
+closure is ground & span(S + v).  After the lookup every ground root
+outside the key is covered, and those inside it lie in span(S), so
+(key | cls) & ground is exactly that closure: grown is a flat iff
+(key | cls) & ground == grown.  Then key | cls contains grown and lies in
+its span, so it is the child's key.  The memo reads only root
+coordinates and elimination, never the system flats, and the oracle
+below keeps its own flatness test (``is_flat_mask``).
+
 That 2-closure (``two_closure_mask``) follows Falk's definition through
 the lines, the rank-2 flats: a set is 2-closed iff it contains every line
 of which it holds two roots.  It equals the pair definition (add the span
@@ -60,7 +79,7 @@ import heapq
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .rootsystem import RootSystem, _bits, _echelon, _mask_of, _reduce, _span_mask, reflect
+from .rootsystem import RootSystem, _bits, _echelon, _mask_of, _reduce, reflect
 
 
 @dataclass(frozen=True)
@@ -105,28 +124,11 @@ class Arrangement:
     def _vec(self, i: int) -> tuple[int, ...]:
         return self.system.coords[i]
 
-    def _check_subset(self, subset: Iterable[int]) -> tuple[int, ...]:
-        s = tuple(sorted(set(subset)))
-        for i in s:
-            if not self.ground_mask >> i & 1:
-                raise ValueError(f"root index {i} is not in the ground set")
-        return s
-
-    def rank(self, subset: Iterable[int] | None = None) -> int:
-        """Dimension of the rational span; the whole ground set by default."""
-        if subset is None:
-            if self._rank is None:
-                self._rank = len(_echelon(self._vec(i) for i in self.ground))
-            return self._rank
-        s = self._check_subset(subset)
-        return len(_echelon(self._vec(i) for i in s))
-
-    def closure(self, subset: Iterable[int]) -> Flat:
-        """All ground vectors in the rational span of the subset."""
-        s = self._check_subset(subset)
-        rows = _echelon(self._vec(i) for i in s)
-        spanned = (i for i in self.ground if not any(_reduce(rows, self._vec(i))))
-        return Flat(_mask_of(spanned), len(rows))
+    def rank(self) -> int:
+        """Dimension of the rational span of the ground set."""
+        if self._rank is None:
+            self._rank = len(_echelon(self._vec(i) for i in self.ground))
+        return self._rank
 
     def _pair_mask(self, i: int, j: int) -> int:
         return self.system.pair_span_mask(i, j) & self.ground_mask
@@ -163,10 +165,6 @@ class Arrangement:
                     grew = True
         return out
 
-    def two_closure(self, subset: Iterable[int]) -> frozenset[int]:
-        s = self._check_subset(subset)
-        return frozenset(_bits(self.two_closure_mask(_mask_of(s))))
-
     def is_line_closed(self) -> tuple[bool, frozenset[int] | None]:
         """Decide line-closedness; on failure also return a witness.
 
@@ -179,30 +177,39 @@ class Arrangement:
         proves would regrow a child already grown; they are skipped, as
         they would only hit a state already in the next level, so the
         states reached and their order are those of growing every root.
-        A new state is a flat iff no ground root outside it reduces to
-        zero against its echelon rows.  The witness is the first new state
-        that is not a flat, in the order rank level, parent mask, added
-        root, so it is the same on every run.
+
+        Each state carries ``(key, rows)``: echelon rows of the state, and
+        a mask of system roots that contains the state and lies in its
+        span.  A rank-2 state's key is its system pair span.  A child
+        ``grown`` of a state with key ``key``, grown by root v, is a flat
+        iff ``(key | cls) & ground == grown``, where ``cls`` comes from the
+        system's join memo entry ``(key, v)`` through ``_join``; the module
+        docstring proves it.  Its key is ``key | cls``.  The witness is the
+        first new state that is not a flat, in the order rank level, parent
+        mask, added root, so it is the same on every run, whatever the memo
+        already holds.
         """
         r = self.rank()
         if r < 3:
             return True, None
-        g, gm, coords = self.ground, self.ground_mask, self.system.coords
+        system, g, gm = self.system, self.ground, self.ground_mask
+        coords = system.coords
         pair: list[list[int]] = [[] for _ in coords]
         for i in g:
             row = pair[i] = [0] * len(coords)
             for j in g:
                 if j != i:
                     row[j] = self._pair_mask(i, j)
-        level: dict[int, list[tuple[int, tuple[int, ...]]]] = {}
+        level: dict[int, tuple[int, list[tuple[int, tuple[int, ...]]]]] = {}
         for a, i in enumerate(g):
             for j in g[a + 1 :]:
                 if pair[i][j] not in level:
-                    level[pair[i][j]] = _echelon((coords[i], coords[j]))
+                    rows = _echelon((coords[i], coords[j]))
+                    level[pair[i][j]] = (system.pair_span_mask(i, j), rows)
         for _ in range(3, r + 1):
-            nxt: dict[int, list[tuple[int, tuple[int, ...]]]] = {}
+            nxt: dict[int, tuple[int, list[tuple[int, tuple[int, ...]]]]] = {}
             for state in sorted(level):
-                rows, members = level[state], list(_bits(state))
+                (key, rows), members = level[state], list(_bits(state))
                 done = state
                 for v in g:
                     if done >> v & 1:
@@ -213,10 +220,11 @@ class Arrangement:
                         continue
                     red = _reduce(rows, coords[v])
                     piv = next(t for t, x in enumerate(red) if x)
-                    nxt[grown] = rows + [(piv, tuple(red))]
-                    outside = [coords[q] for q in _bits(gm & ~grown)]
-                    if _span_mask(nxt[grown], outside):
+                    child = rows + [(piv, tuple(red))]
+                    child_key = key | _join(system, key, v, child, gm, grown)
+                    if child_key & gm != grown:
                         return False, frozenset(_bits(grown))
+                    nxt[grown] = (child_key, child)
             level = nxt
         return True, None
 
@@ -336,6 +344,40 @@ def _grow_two_closure(
             out |= add
             new.extend(_bits(add))
     return out, same
+
+
+def _join(
+    system: RootSystem,
+    key: int,
+    v: int,
+    rows: list[tuple[int, tuple[int, ...]]],
+    need: int,
+    grown: int,
+) -> int:
+    """``cls`` of the join memo entry (key, v), once it covers ``need``.
+
+    Reads and fills ``system._joins[(key, v)] = [covered, cls]``, where
+    ``covered`` holds key, v and every root tested so far, and ``cls``
+    those of them outside key that lie in span(key + v).  Only the roots
+    of ``need`` not yet covered are tested, against ``rows``, echelon rows
+    of key + v, so a first call does the work of a plain flatness test
+    and a repeated one none.  The roots of ``grown``, a 2-closure of a
+    subset of key plus v and hence inside that span, enter ``cls``
+    untested.
+    """
+    entry = system._joins.get((key, v))
+    if entry is None:
+        entry = system._joins[(key, v)] = [key | 1 << v, 1 << v]
+    todo = need & ~entry[0]
+    if todo:
+        entry[0] |= todo
+        hit = todo & grown
+        coords = system.coords
+        for q in _bits(todo & ~grown):
+            if not any(_reduce(rows, coords[q])):
+                hit |= 1 << q
+        entry[1] |= hit
+    return entry[1]
 
 
 def _system_flats(system: RootSystem) -> tuple[tuple[int, int], ...]:

@@ -288,8 +288,11 @@ def _mask_of(indices: Iterable[int]) -> int:
 class RootSystem(_RootTable):
     """Positive roots, Cartan data and the symmetrized bilinear form.
 
-    Immutable after construction, apart from memo caches, which never
-    change a result; safe to share across workers.  Use
+    Immutable after construction, apart from per-process memo caches, which
+    never change a result; safe to share across workers.  The memos hold
+    the pair spans (``_pair_span``), the line-closedness walk's joins
+    (``_joins``, see ``matroid``), the subsystem views, the system flat
+    lattice and the searches' verdicts per ideal mask.  Use
     :func:`build_root_system` to construct one.
     """
 
@@ -310,6 +313,8 @@ class RootSystem(_RootTable):
             for i in range(self.rank)
         )
         self._pair_span: dict[tuple[int, int], int] = {}
+        # Filled by matroid._join: (key, v) -> [covered, cls].
+        self._joins: dict[tuple[int, int], list[int]] = {}
         self._views: dict[tuple[int, ...], "object"] = {}
         # Filled by matroid._system_flats and classify._generic_search.
         self._full_flats: tuple[tuple[int, int], ...] | None = None

@@ -25,6 +25,7 @@ from rootarr import (
 from rootarr.ideals import f4_height4_mask, g_set_mask
 from rootarr.suites import poly_from_block_sizes
 from conftest import classify_type, get_system
+from test_matroid import closure, two_closure
 
 EQUIVALENCE_TYPES = [
     "A1", "A2", "A3", "A4", "A5",
@@ -74,8 +75,8 @@ def test_criterion_2_supersolvable_iff_line_closed_with_witnesses():
         ideal = Ideal.from_generators(d4, [parse_root(d4, r) for r in record.ideal])
         arr = Arrangement(d4, ideal.members())
         witness = frozenset((a2c, g1, g3, g4))
-        assert arr.two_closure(witness) == witness
-        flat = arr.closure(witness)
+        assert two_closure(arr, witness) == witness
+        flat = closure(arr, witness)
         assert a1 in flat.indices() and a1 not in witness
         assert not arr.is_flat_mask(sum(1 << i for i in witness))
         d4_checked += 1
@@ -100,8 +101,8 @@ def test_criterion_2_supersolvable_iff_line_closed_with_witnesses():
         ideal = Ideal.from_generators(f4, [parse_root(f4, r) for r in record.ideal])
         arr = Arrangement(f4, ideal.members())
         witness = frozenset([e1, e2, e3, a3c] + [x for x in extra if x in ideal])
-        assert arr.two_closure(witness) == witness
-        flat = arr.closure(witness)
+        assert two_closure(arr, witness) == witness
+        flat = closure(arr, witness)
         assert a2f in flat.indices() and a2f not in witness
         assert not arr.is_flat_mask(sum(1 << i for i in witness))
         f4_checked += 1

@@ -24,6 +24,7 @@ from rootarr.ideals import f4_height4_mask, find_star_ideal, g_set_mask, restric
 from rootarr.rootsystem import build_root_system
 from rootarr.suites import poly_from_block_sizes
 from conftest import classify_type, get_system
+from test_matroid import closure
 
 
 def star_ideal(rs) -> Ideal:
@@ -215,7 +216,7 @@ def test_f4_candidate_blocks_all_contain_two_flats():
         gmask = g_set_mask(rs, ihat.mask, a_name.index("1"), b_name.index("1"), a, b)
         x, y = parse_root(rs, x_name), parse_root(rs, y_name)
         assert gmask >> x & 1 and gmask >> y & 1
-        flat = arr.closure([x, y])
+        flat = closure(arr, [x, y])
         assert flat.members & ihat.mask & ~gmask == 0
 
 

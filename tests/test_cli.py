@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import gc
 import json
 import shlex
+import weakref
 
 import pytest
 
@@ -175,6 +177,43 @@ def test_survey_worker_crash_names_the_ideal(capsys, monkeypatch):
     message = str(exc.value)
     assert "KeyError" in message and "'11'" in message and "A2" in message
     assert isinstance(exc.value.__cause__, KeyError)
+
+
+def built_systems(monkeypatch) -> list[weakref.ref]:
+    """Weak references to every system the CLI builds from now on."""
+    refs = []
+    real = cli.build_root_system
+
+    def build(label):
+        rs = real(label)
+        refs.append(weakref.ref(rs))
+        return rs
+
+    monkeypatch.setattr(cli, "build_root_system", build)
+    return refs
+
+
+def test_serial_survey_releases_its_system(monkeypatch):
+    refs = built_systems(monkeypatch)
+    report = cli.run_survey("D4")
+    assert report["equivalence_ok"] and refs
+    gc.collect()
+    assert cli._WORKER_SYSTEM is None
+    assert all(ref() is None for ref in refs)
+
+
+def test_serial_survey_releases_its_system_on_a_fault(monkeypatch):
+    refs = built_systems(monkeypatch)
+
+    def broken(ideal):
+        raise KeyError("boom")
+
+    monkeypatch.setattr(cli, "classify_ideal", broken)
+    with pytest.raises(RuntimeError):
+        cli.run_survey("A3")
+    gc.collect()
+    assert cli._WORKER_SYSTEM is None
+    assert all(ref() is None for ref in refs)
 
 
 def test_classify_fault_is_not_a_usage_error(capsys, monkeypatch):

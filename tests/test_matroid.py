@@ -1,5 +1,9 @@
 """Closure, flats, 2-closure, line-closedness and the characteristic polynomial.
 
+Oracle helpers over an arrangement, used by other test modules too: the
+rank, closure and 2-closure of a ground subset (``rank_of``, ``closure``,
+``two_closure``), which the package itself never needs.
+
 Independent oracles: a Fraction-based Gaussian rank function written here,
 the Whitney subset sum for the characteristic polynomial, a level search
 over closures for the system flat lattice and another for the flats of a
@@ -47,6 +51,33 @@ def frac_rank(vectors) -> int:
         r += 1
         rank += 1
     return rank
+
+
+def ground_subset(arr: Arrangement, subset) -> tuple[int, ...]:
+    """The subset sorted, or ``ValueError`` if a root lies outside the ground set."""
+    s = tuple(sorted(set(subset)))
+    for i in s:
+        if not arr.ground_mask >> i & 1:
+            raise ValueError(f"root index {i} is not in the ground set")
+    return s
+
+
+def rank_of(arr: Arrangement, subset) -> int:
+    """Dimension of the rational span of a ground subset, by elimination."""
+    return len(_echelon(arr.system.coords[i] for i in ground_subset(arr, subset)))
+
+
+def closure(arr: Arrangement, subset) -> Flat:
+    """All ground roots in the rational span of a ground subset, by elimination."""
+    coords = arr.system.coords
+    rows = _echelon(coords[i] for i in ground_subset(arr, subset))
+    spanned = (i for i in arr.ground if not any(_reduce(rows, coords[i])))
+    return Flat(_mask_of(spanned), len(rows))
+
+
+def two_closure(arr: Arrangement, subset) -> frozenset[int]:
+    """The least 2-closed superset of a ground subset, as root indices."""
+    return frozenset(_bits(arr.two_closure_mask(_mask_of(ground_subset(arr, subset)))))
 
 
 def whitney_chi(arr: Arrangement) -> tuple[int, ...]:
@@ -178,7 +209,7 @@ def closure_level_search(arr: Arrangement) -> tuple[Flat, ...]:
     already in a cover of F is not tried again.  Each flat keeps the basis
     it was reached by, which spans it.
     """
-    found = [arr.closure([])]
+    found = [closure(arr, [])]
     level = {found[0]: ()}
     while level:
         covers = {}
@@ -186,7 +217,7 @@ def closure_level_search(arr: Arrangement) -> tuple[Flat, ...]:
             done = f.members
             for v in arr.ground:
                 if not done >> v & 1:
-                    cover = arr.closure(basis + (v,))
+                    cover = closure(arr, basis + (v,))
                     done |= cover.members
                     covers.setdefault(cover, basis + (v,))
         level = covers
@@ -204,14 +235,14 @@ def star_ideal(rs) -> Ideal:
 def test_closure_a2_pair_spans_everything():
     rs = get_system("A2")
     arr = Arrangement(rs, range(3))
-    flat = arr.closure([parse_root(rs, "10"), parse_root(rs, "11")])
+    flat = closure(arr, [parse_root(rs, "10"), parse_root(rs, "11")])
     assert flat.rank == 2 and set(flat.indices()) == {0, 1, 2}
 
 
 def test_closure_d4_star_ideal_pair():
     rs = get_system("D4")
     arr = Arrangement(rs, star_ideal(rs).members())
-    flat = arr.closure([parse_root(rs, "0100"), parse_root(rs, "0111")])
+    flat = closure(arr, [parse_root(rs, "0100"), parse_root(rs, "0111")])
     # no further root of the 10-element ground lies in that plane
     assert {parse_root(rs, "0100"), parse_root(rs, "0111")} == set(flat.indices())
     assert flat.rank == 2
@@ -221,7 +252,7 @@ def test_closure_rejects_outside_ground():
     rs = get_system("A2")
     arr = Arrangement(rs, [0, 1])
     with pytest.raises(ValueError):
-        arr.closure([2])
+        closure(arr, [2])
 
 
 @pytest.mark.parametrize("label", ["A3", "B3", "D4", "G2", "F4"])
@@ -232,11 +263,11 @@ def test_closure_is_a_closure_operator(label):
     for _ in range(25):
         s = frozenset(rng.sample(range(rs.nroots), rng.randint(0, min(6, rs.nroots))))
         t = s | frozenset(rng.sample(range(rs.nroots), rng.randint(0, 3)))
-        cs, ct = arr.closure(s), arr.closure(t)
+        cs, ct = closure(arr, s), closure(arr, t)
         smask = sum(1 << i for i in s)
         assert smask & cs.members == smask  # extensive
         assert cs.members & ct.members == cs.members  # monotone
-        again = arr.closure(cs.indices())
+        again = closure(arr, cs.indices())
         assert again.members == cs.members and again.rank == cs.rank  # idempotent
         assert cs.rank == frac_rank([rs.coords[i] for i in s])
 
@@ -244,7 +275,7 @@ def test_closure_is_a_closure_operator(label):
 def test_rank_examples():
     a2 = get_system("A2")
     arr = Arrangement(a2, range(3))
-    assert arr.rank([]) == 0
+    assert rank_of(arr, []) == 0
     assert arr.rank() == 2
     f4 = get_system("F4")
     ihat = Ideal(f4, f4_height4_mask(f4))
@@ -261,7 +292,7 @@ def test_deletion_and_restriction(label):
         sub = Arrangement(rs, keep)
         assert sub.rank() <= full.rank()
         s = rng.sample(keep, min(3, len(keep)))
-        assert sub.closure(s).members == full.closure(s).members & sub.ground_mask
+        assert closure(sub, s).members == closure(full, s).members & sub.ground_mask
 
 
 # -- two-flats and independent sets ------------------------------------------------
@@ -285,7 +316,7 @@ def test_two_flat_containment_f4_height4():
     rs = get_system("F4")
     ihat = Ideal(rs, f4_height4_mask(rs))
     arr = Arrangement(rs, ihat.members())
-    flat = arr.closure([parse_root(rs, "0210"), parse_root(rs, "0111")])
+    flat = closure(arr, [parse_root(rs, "0210"), parse_root(rs, "0111")])
     assert flat.rank == 2
     assert flat.members & ~ihat.mask == 0
 
@@ -296,7 +327,7 @@ def independent_sets(arr: Arrangement, max_size: int) -> list[tuple[int, ...]]:
         s
         for k in range(1, max_size + 1)
         for s in combinations(arr.ground, k)
-        if arr.rank(s) == k
+        if rank_of(arr, s) == k
     ]
 
 
@@ -315,7 +346,7 @@ def test_independent_triple_sample():
     rs = get_system("D4")
     arr = Arrangement(rs, range(12))
     triple = [parse_root(rs, x) for x in ("1110", "1101", "0111")]
-    assert arr.rank(triple) == 3
+    assert rank_of(arr, triple) == 3
 
 
 @pytest.mark.parametrize("label", ["A3", "B3"])
@@ -338,13 +369,13 @@ def test_independent_sets_have_full_rank(label):
 def test_two_closure_examples():
     a2 = get_system("A2")
     arr = Arrangement(a2, range(3))
-    assert arr.two_closure([0]) == frozenset({0})
-    assert arr.two_closure([parse_root(a2, "10"), parse_root(a2, "01")]) == frozenset(range(3))
+    assert two_closure(arr, [0]) == frozenset({0})
+    assert two_closure(arr, [parse_root(a2, "10"), parse_root(a2, "01")]) == frozenset(range(3))
 
     d4 = get_system("D4")
     sarr = Arrangement(d4, star_ideal(d4).members())
     witness = frozenset(parse_root(d4, x) for x in ("0100", "0111", "1101", "1110"))
-    assert sarr.two_closure(witness) == witness  # already 2-closed
+    assert two_closure(sarr, witness) == witness  # already 2-closed
 
 
 @pytest.mark.parametrize("label", ["A3", "B3", "D4", "F4"])
@@ -354,8 +385,8 @@ def test_two_closure_below_closure(label):
     rng = random.Random(3)
     for _ in range(20):
         s = rng.sample(range(rs.nroots), rng.randint(1, 4))
-        tc = arr.two_closure(s)
-        cl = set(arr.closure(s).indices())
+        tc = two_closure(arr, s)
+        cl = set(closure(arr, s).indices())
         assert tc <= cl
 
 
@@ -390,9 +421,9 @@ def test_d4_star_witness_closure_reconstructs_first_simple():
     )
     assert combo == tuple(Fraction(x) for x in rs.coords[alpha1])
     arr = Arrangement(rs, star_ideal(rs).members())
-    flat = arr.closure([a2, g1, g3, g4])
+    flat = closure(arr, [a2, g1, g3, g4])
     assert alpha1 in flat.indices()
-    assert frozenset((a2, g1, g3, g4)) == arr.two_closure([a2, g1, g3, g4])
+    assert frozenset((a2, g1, g3, g4)) == two_closure(arr, [a2, g1, g3, g4])
 
 
 def test_f4_witness_set_is_2_closed_not_flat():
@@ -408,8 +439,8 @@ def test_f4_witness_set_is_2_closed_not_flat():
         for t in range(4)
     )
     assert combo == tuple(Fraction(x) for x in rs.coords[alpha2])
-    assert arr.two_closure(S) == frozenset(S)
-    flat = arr.closure(S)
+    assert two_closure(arr, S) == frozenset(S)
+    flat = closure(arr, S)
     assert alpha2 in flat.indices()
 
 
@@ -461,9 +492,9 @@ def test_rank_closure_and_two_closure_match_brute_force(case, data):
     subset = [g for g, k in zip(ground, keep) if k]
     vecs = [rs.coords[i] for i in subset]
     rank = frac_rank(vecs)
-    assert arr.rank(subset) == rank
+    assert rank_of(arr, subset) == rank
     spanned = {z for z in ground if frac_rank(vecs + [rs.coords[z]]) == rank}
-    assert arr.closure(subset) == Flat(sum(1 << z for z in spanned), rank)
+    assert closure(arr, subset) == Flat(sum(1 << z for z in spanned), rank)
     # naive 2-closure: add any ground z with rank{x, y, z} = 2 for x, y in the set
     on_line = {
         (x, y): {z for z in ground if frac_rank([rs.coords[t] for t in (x, y, z)]) == 2}
@@ -517,6 +548,42 @@ def test_walk_skipping_known_children_keeps_every_witness(label):
         assert arr.is_line_closed() == walk_without_skip(arr)
 
 
+# -- the walk's join memo ---------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("label", ["D4", "F4", "D5", "B4"])
+def test_join_memo_never_changes_a_walk(label):
+    # the same verdicts and witnesses whatever the memo holds: one shared
+    # system walked in enumeration order, another in reverse, and a fresh
+    # system per ideal
+    shared, reverse = build_root_system(label), build_root_system(label)
+    grounds = [ideal.members() for ideal in enumerate_ideals(shared)]
+    forward = [Arrangement(shared, g).is_line_closed() for g in grounds]
+    backward = [Arrangement(reverse, g).is_line_closed() for g in reversed(grounds)]
+    fresh = [Arrangement(build_root_system(label), g).is_line_closed() for g in grounds]
+    assert forward == backward[::-1] == fresh
+    assert forward == [walk_without_skip(Arrangement(shared, g)) for g in grounds]
+    assert shared._joins and reverse._joins
+
+
+@pytest.mark.parametrize("label", ["D5", "F4"])
+def test_join_memo_entries_hold_from_scratch(label):
+    # every entry (key, v) -> [covered, cls]: v is in cls, cls lies in
+    # covered outside key, and a covered root q outside key is in cls iff
+    # it lies in span(key + v), by Fraction rank
+    rs = build_root_system(label)
+    for ideal in enumerate_ideals(rs):
+        Arrangement(rs, ideal.members()).is_line_closed()
+    assert rs._joins
+    for (key, v), (covered, cls) in rs._joins.items():
+        assert key & 1 << v == 0 and covered & key == key
+        assert cls >> v & 1 and cls & ~(covered & ~key) == 0
+        rank = frac_rank_of_mask(label, key | 1 << v)
+        assert rank == frac_rank_of_mask(label, key) + 1
+        for q in _bits(covered & ~key):
+            assert (cls >> q & 1) == (frac_rank_of_mask(label, key | 1 << v | 1 << q) == rank)
+
+
 # -- flats of a subarrangement ---------------------------------------------------------------
 
 
@@ -531,7 +598,7 @@ def check_flats(arr: Arrangement) -> None:
     assert flats == closure_level_search(arr)
     for f in flats:
         assert f.rank == frac_rank_of_mask(str(arr.system.label), f.members)
-        assert arr.closure(f.indices()) == f
+        assert closure(arr, f.indices()) == f
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
