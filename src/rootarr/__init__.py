@@ -17,7 +17,6 @@ from .rootsystem import (
 from .ideals import (
     BadIdealWitness,
     Ideal,
-    SubsystemView,
     contains_f4_bad_ideal,
     enumerate_ideals,
     find_star_ideal,
@@ -46,7 +45,6 @@ __all__ = [
     "parse_root",
     "format_root",
     "Ideal",
-    "SubsystemView",
     "BadIdealWitness",
     "enumerate_ideals",
     "find_star_ideal",

@@ -26,10 +26,12 @@ import shlex
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .rootsystem import RootSystem, _RootTable, _bits, _echelon, format_root
+from .rootsystem import RootSystem, _bits, _echelon, format_root
 from .ideals import (
     Ideal,
+    SubsystemView,
     _bond_position,
+    _spanned_view,
     ab_pairs,
     contains_f4_bad_ideal,
     f4_bad_witness,
@@ -49,7 +51,7 @@ class EquivalenceViolation(RuntimeError):
 class PartitionCertificate:
     """An ordered partition witnessing a peeling or a supersolving partition.
 
-    ``blocks`` are tuples of base root indices, listed bottom-up: the block
+    ``blocks`` are tuples of root indices, listed bottom-up: the block
     peeled (or split off) first is the last one.  ``block_meta`` parallels
     ``blocks``: ("F", alpha) for the chain filter of simple root ``alpha``,
     ("G", alpha, beta, a, b) for a bonded-pair complement block, or None
@@ -82,61 +84,32 @@ class PartitionCertificate:
         }
 
 
-def _mask_to_base(table: _RootTable, mask: int) -> int:
-    out = 0
-    for pos in _bits(mask):
-        out |= 1 << table.base_index(pos)
-    return out
-
-
-def _base_tuple(table: _RootTable, mask: int) -> tuple[int, ...]:
-    return tuple(sorted(table.base_index(pos) for pos in _bits(mask)))
-
-
 # -- chain peeling -----------------------------------------------------------
 
 
-def _peel_minimals(table: _RootTable, mask: int) -> list[int]:
-    """Minimal elements of an ideal, in simple-root index order.
+def _peel_search(system: RootSystem, mask: int) -> Optional[tuple[tuple[int, int], ...]]:
+    """Peel order as ((minimal root, filter mask), ...) or None.
 
     The minimal elements of a root-poset ideal are exactly its simple
     roots: anything of height two or more covers a root, which downward
-    closure keeps in the ideal.
+    closure keeps in the ideal.  They are tried in simple-root order.
     """
-    return [
-        table.simple_positions[k]
-        for k in range(table.rank)
-        if mask >> table.simple_positions[k] & 1
-    ]
-
-
-def _peel_search(table: _RootTable, mask: int) -> Optional[tuple[tuple[int, int], ...]]:
-    """Peel order as ((minimal position, filter mask), ...) or None."""
     if mask == 0:
         return ()
-    memo = table._peel_memo
+    memo = system._peel_memo
     if mask in memo:
         return memo[mask]
     result = None
-    for m in _peel_minimals(table, mask):
-        fmask = mask & table.up_masks[m]
-        if not table.is_chain_mask(fmask):
+    for m in (p for p in system.simple_positions if mask >> p & 1):
+        fmask = mask & system.up_masks[m]
+        if not system.is_chain_mask(fmask):
             continue
-        rest = _peel_search(table, mask & ~fmask)
+        rest = _peel_search(system, mask & ~fmask)
         if rest is not None:
             result = ((m, fmask),) + rest
             break
     memo[mask] = result
     return result
-
-
-def _peel_certificate(table: _RootTable, peel: tuple[tuple[int, int], ...]) -> PartitionCertificate:
-    blocks = []
-    meta = []
-    for m, fmask in reversed(peel):  # first peeled block is the last one
-        blocks.append(_base_tuple(table, fmask))
-        meta.append(("F", table.base_index(m)))
-    return PartitionCertificate("peeling", tuple(blocks), tuple(meta))
 
 
 def chain_peeling(ideal: Ideal) -> Optional[PartitionCertificate]:
@@ -149,33 +122,34 @@ def chain_peeling(ideal: Ideal) -> Optional[PartitionCertificate]:
     peel = _peel_search(ideal.system, ideal.mask)
     if peel is None:
         return None
-    return _peel_certificate(ideal.system, peel)
+    peel = peel[::-1]  # the first peeled block is the last one
+    return PartitionCertificate(
+        "peeling",
+        tuple(tuple(_bits(fmask)) for _, fmask in peel),
+        tuple(("F", m) for m, _ in peel),
+    )
 
 
 def validate_chain_peeling(ideal: Ideal, cert: PartitionCertificate) -> bool:
     """Check a certificate against the definition of a chain peeling."""
-    table = ideal.system
-    base_to_pos = (
-        {table.base_index(p): p for p in range(table.nroots)}
-    )
+    system = ideal.system
     mask = ideal.mask
     blocks = list(cert.blocks)
     while blocks:
         block = blocks.pop()  # peeled first
         bmask = 0
         for b in block:
-            pos = base_to_pos.get(b)
-            if pos is None or not mask >> pos & 1:
+            if b < 0 or not mask >> b & 1:
                 return False
-            bmask |= 1 << pos
-        if not table.is_chain_mask(bmask):
+            bmask |= 1 << b
+        if not system.is_chain_mask(bmask):
             return False
         # order filter of the current poset
         for pos in _bits(bmask):
-            if table.up_masks[pos] & mask & ~bmask:
+            if system.up_masks[pos] & mask & ~bmask:
                 return False
         if not any(
-            table.down_masks[pos] & mask == 1 << pos for pos in _bits(bmask)
+            system.down_masks[pos] & mask == 1 << pos for pos in _bits(bmask)
         ):
             return False  # must contain a minimal element
         mask &= ~bmask
@@ -276,9 +250,9 @@ def validate_supersolving(system: RootSystem, blocks: Sequence[Sequence[int]]) -
 
 
 def _rootideal_search(
-    table: _RootTable, mask: int
+    table: RootSystem | SubsystemView, mask: int
 ) -> Optional[tuple[tuple[tuple[int, ...], tuple], ...]]:
-    """Blocks (base indices) with meta, bottom-up, or None."""
+    """Blocks with meta, bottom-up, or None."""
     if mask == 0:
         return ()
     memo = table._ss_memo
@@ -286,11 +260,9 @@ def _rootideal_search(
         return memo[mask]
     # Essentialize: restrict to the parabolic subsystem spanned by the
     # simple roots the ideal actually contains.
-    present = [k for k in range(table.rank) if mask >> table.simple_positions[k] & 1]
+    present = [p for p in table.simple_positions if mask >> p & 1]
     if len(present) < table.rank:
-        delta = tuple(table.base_index(table.simple_positions[k]) for k in present)
-        view = table.base.subsystem_view(delta)
-        result = _rootideal_search(view, view.mask_from(table, mask))
+        result = _rootideal_search(_spanned_view(table.base, present), mask)
     else:
         result = _rootideal_top(table, mask)
     memo[mask] = result
@@ -298,28 +270,27 @@ def _rootideal_search(
 
 
 def _rootideal_top(
-    table: _RootTable, mask: int
+    table: RootSystem | SubsystemView, mask: int
 ) -> Optional[tuple[tuple[tuple[int, ...], tuple], ...]]:
     """Blocks with meta, bottom-up, for the first top block that works.
 
     ``mask`` is an essential ideal (it contains every simple root).  None
-    when no candidate top block leads to a supersolving partition.
+    when no candidate top block leads to a supersolving partition.  The
+    order comes from the base system, which a view's order agrees with
+    (see ``SubsystemView``).
     """
+    base = table.base
     # Case (a): the filter of a simple root, provided it is a chain.
-    for k in range(table.rank):
-        pos = table.simple_positions[k]
-        fmask = mask & table.up_masks[pos]
-        if not table.is_chain_mask(fmask):
+    for pos in table.simple_positions:
+        fmask = mask & base.up_masks[pos]
+        if not base.is_chain_mask(fmask):
             continue
         sub = _rootideal_search(table, mask & ~fmask)
         if sub is not None:
-            meta = ("F", table.base_index(pos))
-            return sub + ((_base_tuple(table, fmask), meta),)
+            return sub + ((tuple(_bits(fmask)), ("F", pos)),)
 
     # Case (b): the complement of the multiples of a bonded pair; the
     # remainder is an ideal of the rank-lowered subsystem.
-    base = table.base
-    ideal_base = _mask_to_base(table, mask)
     for k1 in range(table.rank):
         for k2 in range(k1 + 1, table.rank):
             for a, b in ab_pairs(table, k1, k2):
@@ -328,26 +299,21 @@ def _rootideal_top(
                 gmask = g_set_mask(table, mask, k1, k2, a, b)
                 if not gmask:
                     continue
-                g_base = _mask_to_base(table, gmask)
-                members = list(_bits(g_base))
+                members = tuple(_bits(gmask))
                 if not all(
-                    base.pair_span_mask(members[x], members[y]) & ideal_base & ~g_base
+                    base.pair_span_mask(members[x], members[y]) & mask & ~gmask
                     for x in range(len(members))
                     for y in range(x + 1, len(members))
                 ):
                     continue
-                view, vmask = restrict_mask(table, mask & ~gmask, k1, k2, a, b)
-                assert view.is_downward_closed(vmask)
-                sub = _rootideal_search(view, vmask)
+                view, rest = restrict_mask(table, mask & ~gmask, k1, k2, a, b)
+                assert all(  # rest is an ideal of the view
+                    base.down_masks[i] & view.full_mask & ~rest == 0 for i in _bits(rest)
+                )
+                sub = _rootideal_search(view, rest)
                 if sub is not None:
-                    meta = (
-                        "G",
-                        table.base_index(table.simple_positions[k1]),
-                        table.base_index(table.simple_positions[k2]),
-                        a,
-                        b,
-                    )
-                    return sub + ((tuple(members), meta),)
+                    meta = ("G", table.simple_positions[k1], table.simple_positions[k2], a, b)
+                    return sub + ((members, meta),)
     return None
 
 
@@ -429,8 +395,6 @@ class ClassificationRecord:
 
 def _bad_ideal(ideal: Ideal) -> Optional[BadIdealWitness]:
     system = ideal.system
-    if not isinstance(system, RootSystem):
-        raise ValueError("classification runs on ideals of a full root system")
     if system.lacing == 1:
         return find_star_ideal(ideal)
     if str(system.label) == "F4" and contains_f4_bad_ideal(ideal):

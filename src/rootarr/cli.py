@@ -114,30 +114,33 @@ def _worker_init(type_str: str) -> None:
     _WORKER_SYSTEM = _load_system(type_str)
 
 
-def _classify_mask(mask: int) -> tuple[int, int, dict | None, str | None]:
-    rs = _WORKER_SYSTEM
+def _classify_mask(rs: RootSystem, mask: int) -> tuple[dict | None, str | None]:
+    """(record, None), or (None, violation message) for one ideal of ``rs``."""
     ideal = Ideal(rs, mask)
     try:
         record = classify_ideal(ideal)
     except EquivalenceViolation as exc:
-        return mask, ideal.size, None, str(exc)
+        return None, str(exc)
     except Exception as exc:
         raise RuntimeError(
             f"classifying ideal {ideal.coordinate_strings()} of {rs.label} failed: "
             f"{type(exc).__name__}: {exc}"
         ) from exc
-    return mask, ideal.size, record.to_dict(rs), None
+    return record.to_dict(rs), None
+
+
+def _classify_in_worker(mask: int) -> tuple[dict | None, str | None]:
+    return _classify_mask(_WORKER_SYSTEM, mask)
 
 
 def run_survey(type_str: str, jobs: int = 1) -> dict:
     """Classify every ideal of a type; returns the report as a dict.
 
-    The record list is sorted canonically and is identical for serial and
-    parallel runs.  A serial survey classifies in this process, on a
-    system built like a worker's, and releases it (and its memos) on
-    return.
+    Records follow ``enumerate_ideals``' (size, mask) order, which
+    ``pool.map`` keeps, so serial and parallel runs give identical lists.
+    A serial survey classifies on the system it enumerated and releases it
+    (and its memos) on return; each worker builds its own.
     """
-    global _WORKER_SYSTEM
     rs = _load_system(type_str)
     started = time.perf_counter()
     masks = [ideal.mask for ideal in enumerate_ideals(rs)]
@@ -145,17 +148,12 @@ def run_survey(type_str: str, jobs: int = 1) -> dict:
         with ProcessPoolExecutor(
             max_workers=jobs, initializer=_worker_init, initargs=(type_str,)
         ) as pool:
-            results = list(pool.map(_classify_mask, masks, chunksize=8))
+            results = list(pool.map(_classify_in_worker, masks, chunksize=8))
     else:
-        _worker_init(type_str)
-        try:
-            results = [_classify_mask(m) for m in masks]
-        finally:
-            _WORKER_SYSTEM = None
-    results.sort(key=lambda r: (r[1], r[0]))
+        results = [_classify_mask(rs, m) for m in masks]
 
-    records = [rec for _, _, rec, _ in results if rec is not None]
-    violations = [msg for _, _, _, msg in results if msg is not None]
+    records = [rec for rec, _ in results if rec is not None]
+    violations = [msg for _, msg in results if msg is not None]
     summary = {
         "total": len(records),
         "chain_peelable": sum(r["chain_peelable"] for r in records),

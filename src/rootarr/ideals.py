@@ -5,20 +5,23 @@ over root indices.  This module enumerates all ideals of a system,
 computes the bonded-pair candidate top blocks of the supersolvability
 search (the complement-of-multiples sets attached to a bonded pair of
 simple roots; the other kind, the filter of a simple root at position p,
-is just ``mask & table.up_masks[p]``), restricts ideals into root
+is just ``mask & system.up_masks[p]``), restricts ideals into root
 subsystems, and detects the two minimal obstructions: the star
 configuration around a degree-3 Dynkin node, and the F4 ideal of all roots
 of height at most four.
+
+A root subsystem is a :class:`SubsystemView`: a coordinate chart on its
+base system that keeps the base's root indices, so a mask means the same
+roots in a system and in every view of it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .rootsystem import (
-    _RootTable,
     RootSystem,
     _bits,
     _echelon,
@@ -31,28 +34,30 @@ from .rootsystem import (
 
 @dataclass(frozen=True)
 class Ideal:
-    """A downward-closed set of positive roots of one table.
+    """A downward-closed set of positive roots of a root system.
 
-    ``system`` may be a :class:`RootSystem` or a :class:`SubsystemView`;
-    ``mask`` is a bitmask over that table's root indices.  Validated on
-    construction.
+    ``mask`` is a bitmask over the system's root indices.  Validated on
+    construction; ``system`` must be a :class:`RootSystem`, since a
+    subsystem view's masks are already masks of its base system.
     """
 
-    system: _RootTable
+    system: RootSystem
     mask: int
 
     def __post_init__(self):
+        if not isinstance(self.system, RootSystem):
+            raise ValueError("an ideal belongs to a full root system")
         if self.mask < 0 or self.mask > self.system.full_mask:
             raise ValueError("ideal mask out of range")
         if not self.system.is_downward_closed(self.mask):
             raise ValueError("set is not downward closed")
 
     @classmethod
-    def from_roots(cls, system: _RootTable, roots: Sequence[int]) -> "Ideal":
+    def from_roots(cls, system: RootSystem, roots: Sequence[int]) -> "Ideal":
         return cls(system, _mask_of(roots))
 
     @classmethod
-    def from_generators(cls, system: _RootTable, roots: Sequence[int]) -> "Ideal":
+    def from_generators(cls, system: RootSystem, roots: Sequence[int]) -> "Ideal":
         """The downward closure of the given root indices."""
         mask = 0
         for r in roots:
@@ -60,7 +65,7 @@ class Ideal:
         return cls(system, mask)
 
     @classmethod
-    def parse(cls, system: _RootTable, text: str) -> "Ideal":
+    def parse(cls, system: RootSystem, text: str) -> "Ideal":
         """Parse generator roots, e.g. "1110,1101,0111".
 
         Generators are comma-separated digit strings; use ';' between
@@ -105,7 +110,7 @@ class Ideal:
         return self.size
 
 
-def enumerate_ideals(rs: _RootTable) -> Iterator[Ideal]:
+def enumerate_ideals(rs: RootSystem) -> Iterator[Ideal]:
     """Yield every order ideal exactly once, smallest first.
 
     Depth-first extension over the minimal addable elements (the antichain
@@ -132,7 +137,9 @@ def enumerate_ideals(rs: _RootTable) -> Iterator[Ideal]:
         yield Ideal(rs, mask)
 
 
-def g_set_mask(table: _RootTable, mask: int, ai: int, bi: int, a: int, b: int) -> int:
+def g_set_mask(
+    table: RootSystem | SubsystemView, mask: int, ai: int, bi: int, a: int, b: int
+) -> int:
     """Members whose (ai, bi)-coordinate pair is not a multiple of (a, b).
 
     ``ai`` and ``bi`` are the coordinate axes of two distinct simple roots,
@@ -151,13 +158,15 @@ def g_set_mask(table: _RootTable, mask: int, ai: int, bi: int, a: int, b: int) -
     return out
 
 
-def _bond_position(table: _RootTable, ai: int, bi: int, a: int, b: int) -> int | None:
+def _bond_position(
+    table: RootSystem | SubsystemView, ai: int, bi: int, a: int, b: int
+) -> int | None:
     """Position of the root ``a*alpha_ai + b*alpha_bi``, or None if no root."""
     v = tuple(a if k == ai else b if k == bi else 0 for k in range(table.rank))
     return table.index_of.get(v)
 
 
-def ab_pairs(table: _RootTable, ai: int, bi: int) -> list[tuple[int, int]]:
+def ab_pairs(table: RootSystem | SubsystemView, ai: int, bi: int) -> list[tuple[int, int]]:
     """Sorted (a, b) with a, b >= 1 making a*alpha_ai + b*alpha_bi a root.
 
     ``ai`` and ``bi`` are distinct coordinate axes.  Found by scanning the
@@ -165,7 +174,7 @@ def ab_pairs(table: _RootTable, ai: int, bi: int) -> list[tuple[int, int]]:
     special casing.  Empty when the two simple roots are not bonded.
     """
     pairs = []
-    for v in table.coords:
+    for v in table.index_of:
         if v[ai] >= 1 and v[bi] >= 1 and sum(v) == v[ai] + v[bi]:
             pairs.append((v[ai], v[bi]))
     return sorted(pairs)
@@ -195,7 +204,7 @@ def find_star_ideal(ideal: Ideal) -> BadIdealWitness | None:
     obstruction at all).
     """
     rs = ideal.system
-    if not isinstance(rs, RootSystem) or rs.lacing != 1:
+    if rs.lacing != 1:
         return None
     n = rs.rank
     for centre in range(n):
@@ -238,7 +247,7 @@ def contains_f4_bad_ideal(ideal: Ideal) -> bool:
     False for every non-F4 system.
     """
     rs = ideal.system
-    if not isinstance(rs, RootSystem) or str(rs.label) != "F4":
+    if str(rs.label) != "F4":
         return False
     bad = f4_height4_mask(rs)
     return ideal.mask & bad == bad
@@ -250,31 +259,47 @@ def f4_bad_witness(rs: RootSystem) -> BadIdealWitness:
     return BadIdealWitness("f4", rs.simple_positions, gens)
 
 
-class SubsystemView(_RootTable):
-    """A root subsystem presented like a standalone root table.
+class SubsystemView:
+    """A root subsystem, as a coordinate chart on its base system.
 
-    Spanned by an independent set of parent positive roots; holds the
-    subsystem's positive roots with coordinates over its own simple basis,
-    plus the bijection back to parent root indices.  The induced order
-    agrees with the parent order restricted to the subsystem's roots.
-    Construct via ``RootSystem.subsystem_view`` (which caches canonically).
+    Its roots are the base roots in the span of an independent set delta
+    of base roots, under their base indices.  ``simple_positions`` is delta,
+    sorted; axis k of the chart is root ``simple_positions[k]``.  ``coords``
+    maps each root's base index to its coordinates over delta, ``index_of``
+    maps them back, and ``full_mask`` is the mask of the view's roots.
+
+    The search reads filters, chains and downward closure off the base
+    order, because a view's componentwise order is the base order on its
+    roots.  Views arise only by restriction, starting from the base's
+    simple roots, and each restriction does one of two things: it keeps a
+    subset of the current simple roots, or it merges a bonded pair into
+    a*delta_k1 + b*delta_k2 with a, b > 0 and keeps the rest.  Either way,
+    a vector in the new span has nonnegative coordinates over the new
+    basis iff it has them over the old one: in the first case the
+    coordinates agree; in the second, coordinate c of the merged root
+    becomes old coordinates a*c and b*c.  So beta <= gamma over the new
+    basis iff beta <= gamma over the old one, and by induction from the
+    base's simple roots, iff beta <= gamma in the base.  This fails for an
+    arbitrary independent delta: in A3, delta = {010, 111} makes 010 and
+    111 incomparable over delta, although 010 <= 111 in the base.
+    Construct via :func:`_spanned_view`.
     """
 
-    def __init__(self, base: RootSystem, delta_base: Sequence[int]):
+    def __init__(self, base: RootSystem, delta: tuple[int, ...]):
         self.base = base
-        self.delta_base = tuple(sorted(delta_base))
-        self.rank = k = len(self.delta_base)
+        self.simple_positions = delta
+        self.rank = k = len(delta)
         dim = base.rank
         # Echelon the rows (delta_j | e_j | 0) and reduce (v | 0 | 1).  When
         # the first ``dim`` entries vanish the result is (0 | -lam*c | lam),
         # where v = sum_j c_j delta_j; otherwise v is outside the span.
         rows = _echelon(
             base.coords[d] + tuple(int(t == j) for t in range(k)) + (0,)
-            for j, d in enumerate(self.delta_base)
+            for j, d in enumerate(delta)
         )
         if any(piv >= dim for piv, _ in rows):
             raise ValueError("subsystem spanning set must be linearly independent")
-        parent_of: dict[tuple[int, ...], int] = {}
+        self.coords: dict[int, tuple[int, ...]] = {}
         for idx, v in enumerate(base.coords):
             r = _reduce(rows, v + (0,) * k + (1,))
             if any(r[:dim]):
@@ -284,40 +309,36 @@ class SubsystemView(_RootTable):
             assert all(
                 x >= 0 and x * lam == -t for x, t in zip(c, tail)
             ), "subsystem coordinates must be nonneg integers"
-            parent_of[c] = idx
-        self._finish(list(parent_of))
-        self.parent_indices = tuple(parent_of[c] for c in self.coords)
-        self.position_of_base = {b: p for p, b in enumerate(self.parent_indices)}
-
-    def base_index(self, pos: int) -> int:
-        return self.parent_indices[pos]
-
-    def mask_from(self, table: _RootTable, mask: int) -> int:
-        """``mask`` over positions of ``table``, reindexed over this view."""
-        out = 0
-        for pos in _bits(mask):
-            out |= 1 << self.position_of_base[table.base_index(pos)]
-        return out
+            self.coords[idx] = c
+        self.index_of = {c: idx for idx, c in self.coords.items()}
+        self.full_mask = _mask_of(self.coords)
+        self._ss_memo: dict[int, object] = {}
 
     def __repr__(self) -> str:
-        delta = ",".join(format_root(self.base, i) for i in self.delta_base)
-        return f"SubsystemView({self.base.label}: <{delta}>, {self.nroots} roots)"
+        delta = ",".join(format_root(self.base, i) for i in self.simple_positions)
+        return f"SubsystemView({self.base.label}: <{delta}>, {len(self.coords)} roots)"
+
+
+def _spanned_view(base: RootSystem, delta: Iterable[int]) -> SubsystemView:
+    """The view spanned by base roots ``delta``; cached on ``base`` by sorted delta."""
+    key = tuple(sorted(delta))
+    view = base._views.get(key)
+    if view is None:
+        view = base._views[key] = SubsystemView(base, key)
+    return view
 
 
 def restrict_mask(
-    table: _RootTable, mask: int, ai: int, bi: int, a: int, b: int
+    table: RootSystem | SubsystemView, mask: int, ai: int, bi: int, a: int, b: int
 ) -> tuple[SubsystemView, int]:
     """The subsystem spanned by the bond root and the other simple roots.
 
     ``ai``/``bi`` are coordinate axes and ``a*alpha_ai + b*alpha_bi`` must
-    be a root; ``mask`` (table positions) must avoid the ``g_set_mask``
-    block, so every member lies in the subsystem.  Returns the view and ``mask``
-    reindexed over the view's positions.  No validation.
+    be a root; ``mask`` must avoid the ``g_set_mask`` block, so every
+    member lies in the subsystem.  Returns the view and ``mask`` unchanged,
+    since a view keeps its base's root indices.  No validation.
     """
-    delta = [table.base_index(_bond_position(table, ai, bi, a, b))] + [
-        table.base_index(p)
-        for k, p in enumerate(table.simple_positions)
-        if k not in (ai, bi)
+    delta = [_bond_position(table, ai, bi, a, b)] + [
+        p for k, p in enumerate(table.simple_positions) if k not in (ai, bi)
     ]
-    view = table.base.subsystem_view(delta)
-    return view, view.mask_from(table, mask)
+    return _spanned_view(table.base, delta), mask

@@ -23,7 +23,9 @@ Conventions, fixed once and documented here:
   and ``alpha_2`` attached to it.
 * Root ordering: by height, then lexicographically on coordinates.  The
   ordering is fixed for the life of a ``RootSystem`` so bit-set indices are
-  stable and every report is deterministic.
+  stable and every report is deterministic.  Subsystem views (see
+  ``ideals``) keep these indices, so every mask, memo key and certificate
+  of a system is over one index space.
 
 Roots are generated height-by-height from the simple roots with the root
 string condition (``gamma + alpha`` is a root iff ``p - <gamma, alpha^vee> >
@@ -188,17 +190,64 @@ def _span_mask(
     return mask
 
 
-class _RootTable:
-    """Shared table structure for a root system or one of its subsystems.
+def _bits(mask: int) -> Iterator[int]:
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
-    Holds the positive roots as coordinate vectors over the table's own
-    simple basis, plus the componentwise order, heights, covers, and the
-    bitmask helpers every other module builds on.  Immutable once built,
-    apart from memo caches, which never change a result.
+
+def _mask_of(indices: Iterable[int]) -> int:
+    """The bitmask with the given bits set; the inverse of :func:`_bits`."""
+    mask = 0
+    for i in indices:
+        mask |= 1 << i
+    return mask
+
+
+class RootSystem:
+    """Positive roots, Cartan data, the root poset and the bilinear form.
+
+    Holds the positive roots as coordinate vectors over the simple roots,
+    plus the componentwise order, heights, covers, and the bitmask helpers
+    every other module builds on.  Immutable after construction, apart from
+    per-process memo caches, which never change a result; safe to share
+    across workers.  The memos hold the pair spans (``_pair_span``), the
+    line-closedness walk's joins (``_joins``, see ``matroid``), the
+    subsystem views (``_views``, see ``ideals``), the system flat lattice
+    (``_full_flats``) and the three searches' verdicts per ideal mask
+    (``_peel_memo``, ``_ss_memo``, ``_generic_ss_memo``).  Use
+    :func:`build_root_system` to construct one.
     """
 
-    rank: int
-    coords: tuple[tuple[int, ...], ...]
+    def __init__(self, label: TypeLabel):
+        self.label = label
+        self.rank = label.rank
+        self.cartan = tuple(tuple(r) for r in _cartan_matrix(label))
+        self.symmetrizer = tuple(Fraction(d) for d in _symmetrizer(self.cartan))
+        # form[i][j] = (alpha_i, alpha_j) = d_i C[i][j]; integral by choice
+        # of minimal integer symmetrizer.
+        self.form = tuple(
+            tuple(int(self.symmetrizer[i] * self.cartan[i][j]) for j in range(self.rank))
+            for i in range(self.rank)
+        )
+        self._finish(self._generate_roots())
+        self._neighbours = tuple(
+            tuple(j for j in range(self.rank) if j != i and self.cartan[i][j] != 0)
+            for i in range(self.rank)
+        )
+        self._pair_span: dict[tuple[int, int], int] = {}
+        # Filled by matroid._join: (key, v) -> [covered, cls].
+        self._joins: dict[tuple[int, int], list[int]] = {}
+        # Filled by ideals._spanned_view: sorted delta -> view.
+        self._views: dict[tuple[int, ...], object] = {}
+        # Filled by matroid._system_flats and the three searches in classify.
+        self._full_flats: tuple[tuple[int, int], ...] | None = None
+        self._peel_memo: dict[int, object] = {}
+        self._ss_memo: dict[int, object] = {}
+        self._generic_ss_memo: dict[int, object] = {}
+
+    # -- construction ----------------------------------------------------
 
     def _finish(self, coords: list[tuple[int, ...]]) -> None:
         """Fix the root order and derive the order masks from the covers.
@@ -215,8 +264,7 @@ class _RootTable:
         alpha_k, which has no positive root below it); or (beta, alpha_k) < 0,
         and beta + alpha_k is a root with beta + alpha_k <= gamma.  Either
         way a cover shortens the gap, and induction on the height difference
-        does the rest.  A subsystem view's simple basis is a base of its
-        roots, so the argument holds there too.
+        does the rest.
         """
         coords.sort(key=lambda v: (sum(v), v))
         self.coords = tuple(coords)
@@ -242,7 +290,7 @@ class _RootTable:
         self.down_masks = tuple(down)
         self.up_masks = tuple(up)
         self.cover_pairs = tuple(sorted(covers))
-        # Positions of the unit vectors (the table's simple roots).
+        # Positions of the unit vectors (the simple roots).
         simple = [None] * n
         for i, v in enumerate(self.coords):
             if sum(v) == 1:
@@ -250,77 +298,6 @@ class _RootTable:
         assert all(s is not None for s in simple)
         self.simple_positions = tuple(simple)
         self.full_mask = (1 << m) - 1
-        self._ss_memo: dict[int, object] = {}
-        self._peel_memo: dict[int, object] = {}
-
-    # -- order helpers -------------------------------------------------
-
-    def leq(self, i: int, j: int) -> bool:
-        """Componentwise order: root_i <= root_j."""
-        return bool(self.down_masks[j] >> i & 1)
-
-    def is_downward_closed(self, mask: int) -> bool:
-        return all(self.down_masks[i] & ~mask == 0 for i in _bits(mask))
-
-    def is_chain_mask(self, mask: int) -> bool:
-        """Whether the roots in ``mask`` are totally ordered."""
-        members = sorted(_bits(mask), key=lambda i: (self.heights[i], i))
-        return all(
-            self.leq(a, b) for a, b in zip(members, members[1:])
-        )
-
-
-def _bits(mask: int) -> Iterator[int]:
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
-def _mask_of(indices: Iterable[int]) -> int:
-    """The bitmask with the given bits set; the inverse of :func:`_bits`."""
-    mask = 0
-    for i in indices:
-        mask |= 1 << i
-    return mask
-
-
-class RootSystem(_RootTable):
-    """Positive roots, Cartan data and the symmetrized bilinear form.
-
-    Immutable after construction, apart from per-process memo caches, which
-    never change a result; safe to share across workers.  The memos hold
-    the pair spans (``_pair_span``), the line-closedness walk's joins
-    (``_joins``, see ``matroid``), the subsystem views, the system flat
-    lattice and the searches' verdicts per ideal mask.  Use
-    :func:`build_root_system` to construct one.
-    """
-
-    def __init__(self, label: TypeLabel):
-        self.label = label
-        self.rank = label.rank
-        self.cartan = tuple(tuple(r) for r in _cartan_matrix(label))
-        self.symmetrizer = tuple(Fraction(d) for d in _symmetrizer(self.cartan))
-        # form[i][j] = (alpha_i, alpha_j) = d_i C[i][j]; integral by choice
-        # of minimal integer symmetrizer.
-        self.form = tuple(
-            tuple(int(self.symmetrizer[i] * self.cartan[i][j]) for j in range(self.rank))
-            for i in range(self.rank)
-        )
-        self._finish(self._generate_roots())
-        self._neighbours = tuple(
-            tuple(j for j in range(self.rank) if j != i and self.cartan[i][j] != 0)
-            for i in range(self.rank)
-        )
-        self._pair_span: dict[tuple[int, int], int] = {}
-        # Filled by matroid._join: (key, v) -> [covered, cls].
-        self._joins: dict[tuple[int, int], list[int]] = {}
-        self._views: dict[tuple[int, ...], "object"] = {}
-        # Filled by matroid._system_flats and classify._generic_search.
-        self._full_flats: tuple[tuple[int, int], ...] | None = None
-        self._generic_ss_memo: dict[int, object] = {}
-
-    # -- construction ----------------------------------------------------
 
     def _pairing(self, v: tuple[int, ...], i: int) -> int:
         """<v, alpha_i^vee> for a coordinate vector v."""
@@ -354,6 +331,25 @@ class RootSystem(_RootTable):
             level = nxt
         return list(known)
 
+    # -- order helpers -------------------------------------------------
+
+    def leq(self, i: int, j: int) -> bool:
+        """Componentwise order: root_i <= root_j."""
+        return bool(self.down_masks[j] >> i & 1)
+
+    def is_downward_closed(self, mask: int) -> bool:
+        return all(self.down_masks[i] & ~mask == 0 for i in _bits(mask))
+
+    def is_chain_mask(self, mask: int) -> bool:
+        """Whether the roots in ``mask`` are totally ordered.
+
+        ``_finish`` sorts the roots by height, so ``_bits(mask)`` lists the
+        members in (height, index) order, and they form a chain iff each
+        one lies below the next.
+        """
+        members = list(_bits(mask))
+        return all(self.leq(a, b) for a, b in zip(members, members[1:]))
+
     # -- bilinear form and reflections ------------------------------------
 
     def form_value(self, u: Sequence[int], v: Sequence[int]) -> Fraction:
@@ -381,11 +377,9 @@ class RootSystem(_RootTable):
             default=1,
         ) or 1
 
-    def base_index(self, pos: int) -> int:
-        return pos
-
     @property
     def base(self) -> "RootSystem":
+        """The system itself, as the ``base`` of a subsystem view names it."""
         return self
 
     # -- rank-2 span table -------------------------------------------------
@@ -407,17 +401,6 @@ class RootSystem(_RootTable):
         mask = _span_mask(_echelon((self.coords[i], self.coords[j])), self.coords)
         self._pair_span[key] = mask
         return mask
-
-    def subsystem_view(self, delta: Sequence[int]) -> "SubsystemView":
-        """Canonical (cached) view on the subsystem spanned by the given roots."""
-        from .ideals import SubsystemView  # deferred: views live with ideals
-
-        key = tuple(sorted(delta))
-        view = self._views.get(key)
-        if view is None:
-            view = SubsystemView(self, key)
-            self._views[key] = view
-        return view
 
     def __repr__(self) -> str:
         return f"RootSystem({self.label}, {self.nroots} positive roots)"
@@ -457,7 +440,7 @@ def reflect(rs: RootSystem, alpha: int, gamma: int) -> tuple[int, int]:
 # -- root text format -------------------------------------------------------
 
 
-def parse_root(rs: _RootTable, text: str) -> int:
+def parse_root(rs: RootSystem, text: str) -> int:
     """Parse a coordinate string ('1211' or '1,2,1,1') to a root index."""
     text = text.strip()
     if "," in text:
@@ -475,7 +458,7 @@ def parse_root(rs: _RootTable, text: str) -> int:
     return idx
 
 
-def format_root(rs: _RootTable, idx: int) -> str:
+def format_root(rs: RootSystem, idx: int) -> str:
     """Format a root index as its coordinate string."""
     v = rs.coords[idx]
     if all(x <= 9 for x in v):

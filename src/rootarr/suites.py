@@ -52,10 +52,6 @@ class SuiteResult:
         return not self.failures
 
 
-def _fmt(rs, i: int) -> str:
-    return format_root(rs, i)
-
-
 def suite_rank2(rs: RootSystem) -> SuiteResult:
     res = SuiteResult("rank2", str(rs.label))
     n = rs.nroots
@@ -72,7 +68,7 @@ def suite_rank2(rs: RootSystem) -> SuiteResult:
             ]
             if len(incomparable) > 1:
                 res.failures.append(
-                    f"pair ({_fmt(rs,i)},{_fmt(rs,j)}): "
+                    f"pair ({format_root(rs, i)},{format_root(rs, j)}): "
                     f"{len(incomparable)} incomparable pairs in subsystem"
                 )
             elif incomparable:
@@ -80,8 +76,8 @@ def suite_rank2(rs: RootSystem) -> SuiteResult:
                 for c in members:
                     if c not in (a, b) and (rs.leq(c, a) or rs.leq(c, b)):
                         res.failures.append(
-                            f"pair ({_fmt(rs,i)},{_fmt(rs,j)}): incomparable pair "
-                            f"({_fmt(rs,a)},{_fmt(rs,b)}) not minimal in subsystem"
+                            f"pair ({format_root(rs, i)},{format_root(rs, j)}): incomparable pair "
+                            f"({format_root(rs, a)},{format_root(rs, b)}) not minimal in subsystem"
                         )
                         break
     if rs.lacing < 3:
@@ -96,15 +92,16 @@ def suite_rank2(rs: RootSystem) -> SuiteResult:
                     continue
                 res.checked += 1
                 b, c = rs.coords[i], rs.coords[j]
+                where = f"{format_root(rs, i)},{format_root(rs, j)}"
                 ip = rs.form_value(b, c)
                 diff = [x - y for x, y in zip(b, c)]
                 tot = [x + y for x, y in zip(b, c)]
                 if ip > 0 and not (in_roots(diff) and not in_roots(tot)):
-                    res.failures.append(f"(b,c)>0 but not (b-c in roots, b+c not): {_fmt(rs,i)},{_fmt(rs,j)}")
+                    res.failures.append(f"(b,c)>0 but not (b-c in roots, b+c not): {where}")
                 if ip < 0 and not (not in_roots(diff) and in_roots(tot)):
-                    res.failures.append(f"(b,c)<0 but not (b-c not, b+c in roots): {_fmt(rs,i)},{_fmt(rs,j)}")
+                    res.failures.append(f"(b,c)<0 but not (b-c not, b+c in roots): {where}")
                 if ip == 0 and rs.lacing == 1 and (in_roots(diff) or in_roots(tot)):
-                    res.failures.append(f"(b,c)=0, simply laced, but b+-c meets roots: {_fmt(rs,i)},{_fmt(rs,j)}")
+                    res.failures.append(f"(b,c)=0, simply laced, but b+-c meets roots: {where}")
     return res
 
 
@@ -119,6 +116,7 @@ def suite_chainroot(rs: RootSystem) -> SuiteResult:
             if not rs.is_chain_mask(interval):
                 continue
             res.checked += 1
+            where = f"[{format_root(rs, b1)},{format_root(rs, b2)}]"
             diff = tuple(x - y for x, y in zip(rs.coords[b2], rs.coords[b1]))
             k_found = None
             for k in (1, 2, 3):
@@ -127,13 +125,12 @@ def suite_chainroot(rs: RootSystem) -> SuiteResult:
                     break
             if k_found is None:
                 res.failures.append(
-                    f"chain interval [{_fmt(rs,b1)},{_fmt(rs,b2)}]: difference is "
-                    f"no 1-3 multiple of a positive root"
+                    f"chain interval {where}: difference is no 1-3 multiple of a positive root"
                 )
             elif k_found == 3 and rs.lacing != 3:
-                res.failures.append(f"k=3 without triple bond: [{_fmt(rs,b1)},{_fmt(rs,b2)}]")
+                res.failures.append(f"k=3 without triple bond: {where}")
             elif k_found == 2 and rs.lacing < 2:
-                res.failures.append(f"k=2 in a simply laced system: [{_fmt(rs,b1)},{_fmt(rs,b2)}]")
+                res.failures.append(f"k=2 in a simply laced system: {where}")
     return res
 
 
@@ -172,7 +169,7 @@ def suite_twocases(rs: RootSystem) -> SuiteResult:
         else:
             res.failures.append(
                 f"ideal {ideal.coordinate_strings()}: top block "
-                f"{sorted(_fmt(rs,i) for i in top)} is neither filter- nor pair-shaped"
+                f"{sorted(format_root(rs, i) for i in top)} is neither filter- nor pair-shaped"
             )
     return res
 

@@ -312,9 +312,8 @@ def test_classify_rejects_view_ideals():
     rs = get_system("A3")
     rest = rs.full_mask & ~g_set_mask(rs, rs.full_mask, 0, 1, 1, 1)
     view, vmask = restrict_mask(rs, rest, 0, 1, 1, 1)
-    vid = Ideal(view, vmask)
     with pytest.raises(ValueError):
-        classify_ideal(vid)
+        Ideal(view, vmask)
 
 
 def test_record_json_roundtrip():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import gc
+import hashlib
 import json
 import shlex
 import weakref
@@ -153,6 +154,27 @@ def test_survey_parallel_matches_serial(tmp_path, capsys):
     run(capsys, "survey", "--type", "D4", "--jobs", "2", "--out", str(b))
     ra, rb = json.loads(a.read_text()), json.loads(b.read_text())
     assert ra["records"] == rb["records"]
+
+
+# sha256 of each whole survey report minus ``timing_seconds``, as JSON with
+# sorted keys: every verdict, certificate and witness of the type.
+PINNED_SURVEYS = {
+    "D4": "b0d96350466ea04ce06ba5608b1128d2e8b473d955a437a255fe968fde9f8269",
+    "F4": "8108b1b1d54b347c096d0cc3b69cf45f1473e9f5f8d16ed4a31d72d95c9ecd52",
+    "B4": "508b6bd17903d35548d393a6cba2f0cc8b67fdbac444520c5bf21dbd0f390ef6",
+    "D5": "c14aa65d7ab4037dc69603e57ed4b91d9e0eb590a1c7f097ea928da7c1b2c9f1",
+}
+
+
+@pytest.mark.parametrize("label", list(PINNED_SURVEYS))
+def test_survey_records_are_pinned(label):
+    report = cli.run_survey(label)
+    del report["timing_seconds"]
+    digest = hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
+    assert digest == PINNED_SURVEYS[label], (
+        f"the {label} survey report changed; if that is on purpose, bump "
+        "cli.SCHEMA and re-record PINNED_SURVEYS"
+    )
 
 
 @pytest.mark.parametrize("jobs", ["0", "-3"])

@@ -19,7 +19,7 @@ from rootarr import (
     format_root,
     parse_root,
 )
-from rootarr.ideals import ab_pairs, f4_height4_mask, g_set_mask, restrict_mask
+from rootarr.ideals import _spanned_view, ab_pairs, f4_height4_mask, g_set_mask, restrict_mask
 from conftest import get_system
 from test_matroid import frac_rank
 
@@ -239,25 +239,40 @@ def test_candidate_ab_pairs():
 
 
 def restrict(rs, mask, ai, bi, a, b):
-    """The search's restriction step: drop the pair block, reindex into the view."""
+    """The search's restriction step: drop the pair block, restrict into the view."""
     rest = mask & ~g_set_mask(rs, mask, ai, bi, a, b)
     return restrict_mask(rs, rest, ai, bi, a, b)
+
+
+def view_leq(view, x: int, y: int) -> bool:
+    """Componentwise order on the view's own coordinates (base indices x, y)."""
+    return all(p <= q for p, q in zip(view.coords[x], view.coords[y]))
+
+
+def view_is_ideal(view, mask: int) -> bool:
+    """Whether ``mask`` holds only view roots and is downward closed in the view."""
+    members = [i for i in view.coords if mask >> i & 1]
+    if len(members) != mask.bit_count():
+        return False
+    return all(
+        mask >> j & 1 for i in members for j in view.coords if view_leq(view, j, i)
+    )
 
 
 def test_restrict_a2_footnote_example():
     rs = get_system("A2")
     view, vmask = restrict(rs, rs.full_mask, 0, 1, 1, 1)
-    assert view.rank == 1 and view.nroots == 1
-    assert view.parent_indices == (parse_root(rs, "11"),)
-    assert vmask == 1
+    top = parse_root(rs, "11")
+    assert view.rank == 1 and view.coords == {top: (1,)}
+    assert vmask == 1 << top
 
 
 def test_restrict_d4_delta():
     rs = get_system("D4")
     view, vmask = restrict(rs, rs.full_mask, 0, 1, 1, 1)
     assert view.rank == 3
-    assert {format_root(rs, i) for i in view.delta_base} == {"1100", "0010", "0001"}
-    assert view.is_downward_closed(vmask)
+    assert {format_root(rs, i) for i in view.simple_positions} == {"1100", "0010", "0001"}
+    assert view_is_ideal(view, vmask)
 
 
 @pytest.mark.parametrize("label", ["A3", "B3", "C3", "D4", "G2", "F4"])
@@ -270,14 +285,12 @@ def test_restriction_induced_order_matches_parent(label):
             for a, b in ab_pairs(rs, k1, k2):
                 view, _ = restrict(rs, rs.full_mask, k1, k2, a, b)
                 g = g_set_mask(rs, rs.full_mask, k1, k2, a, b)
-                assert set(view.parent_indices) == {
+                assert set(view.coords) == {
                     i for i in range(rs.nroots) if not g >> i & 1
                 }
-                for x in range(view.nroots):
-                    for y in range(view.nroots):
-                        assert view.leq(x, y) == rs.leq(
-                            view.parent_indices[x], view.parent_indices[y]
-                        )
+                for x in view.coords:
+                    for y in view.coords:
+                        assert view_leq(view, x, y) == rs.leq(x, y)
 
 
 @pytest.mark.parametrize("label", ["B3", "D4", "F4"])
@@ -288,36 +301,37 @@ def test_restriction_of_every_ideal_is_an_ideal(label):
             for k2 in range(k1 + 1, rs.rank):
                 for a, b in ab_pairs(rs, k1, k2):
                     view, vmask = restrict(rs, ideal.mask, k1, k2, a, b)
-                    assert view.is_downward_closed(vmask)
+                    assert view_is_ideal(view, vmask)
 
 
 @pytest.mark.parametrize("label", ["A5", "B4", "D5", "F4", "G2", "E6"])
 def test_restriction_view_coordinates_recombine(label):
-    # each view root's coordinates rebuild its parent vector over the
-    # spanning roots, and the view holds exactly the parent roots in the span
+    # each view root's coordinates rebuild its base vector over the
+    # spanning roots, and the view holds exactly the base roots in the span
     rs = get_system(label)
     for k1 in range(rs.rank):
         for k2 in range(k1 + 1, rs.rank):
             for a, b in ab_pairs(rs, k1, k2):
                 view, _ = restrict(rs, rs.full_mask, k1, k2, a, b)
-                delta = [rs.coords[d] for d in view.delta_base]
-                for pos, c in enumerate(view.coords):
+                delta = [rs.coords[d] for d in view.simple_positions]
+                for idx, c in view.coords.items():
                     combo = tuple(
                         sum(cj * d[t] for cj, d in zip(c, delta)) for t in range(rs.rank)
                     )
-                    assert combo == rs.coords[view.parent_indices[pos]]
+                    assert combo == rs.coords[idx]
+                    assert view.index_of[c] == idx
                 in_span = {
                     i
                     for i, v in enumerate(rs.coords)
                     if frac_rank(delta + [v]) == len(delta)
                 }
-                assert set(view.parent_indices) == in_span
+                assert set(view.coords) == in_span == set(view.index_of.values())
 
 
 def test_subsystem_view_rejects_dependent_spanning_set():
     rs = get_system("A2")
     with pytest.raises(ValueError):
-        rs.subsystem_view([parse_root(rs, "10"), parse_root(rs, "01"), parse_root(rs, "11")])
+        _spanned_view(rs, [parse_root(rs, "10"), parse_root(rs, "01"), parse_root(rs, "11")])
 
 
 # -- bad ideals -----------------------------------------------------------------------

@@ -16,11 +16,13 @@ import pytest
 
 from rootarr import (
     TypeLabel,
+    enumerate_ideals,
     format_root,
+    is_supersolvable_rootideal,
     parse_root,
     reflect,
 )
-from conftest import classify_type, get_system
+from conftest import get_system
 
 ALL_TYPES = (
     [f"A{n}" for n in range(1, 9)]
@@ -343,9 +345,12 @@ def test_subsystem_lacing_never_exceeds_parent(label):
     for i in range(rs.nroots):
         for j in range(i + 1, rs.nroots):
             span = rs.pair_span_mask(i, j)
-            view = rs.subsystem_view(sorted(k for k in range(rs.nroots) if span >> k & 1)[:2])
-            # squared-length ratio of the view's roots: 1, 2 or 3
-            lengths = {rs.form_value(rs.coords[k], rs.coords[k]) for k in view.parent_indices}
+            # squared-length ratio of the rank-2 subsystem's roots: 1, 2 or 3
+            lengths = {
+                rs.form_value(rs.coords[k], rs.coords[k])
+                for k in range(rs.nroots)
+                if span >> k & 1
+            }
             ratio = max(lengths) / min(lengths)
             assert ratio in (1, 2, 3) and ratio <= rs.lacing
 
@@ -420,14 +425,23 @@ def test_order_masks_match_componentwise_order(label):
     assert (rs.down_masks, rs.up_masks, rs.cover_pairs) == componentwise_order(rs.coords)
 
 
-@pytest.mark.parametrize("label", ["F4", "D5", "B4"])
+@pytest.mark.parametrize("label", ["F4", "D5", "B4", "D6"])
 def test_subsystem_view_order_matches_componentwise_order(label):
-    classify_type(label)  # the root-ideal search builds the views
-    views = list(get_system(label)._views.values())
+    # Every view the root-ideal search builds orders its roots by their
+    # coordinates over its own simple roots exactly as the base orders them.
+    rs = get_system(label)
+    for ideal in enumerate_ideals(rs):
+        is_supersolvable_rootideal(ideal)
+    views = list(rs._views.values())
     assert views
     for view in views:
-        got = (view.down_masks, view.up_masks, view.cover_pairs)
-        assert got == componentwise_order(view.coords), view
+        for x, cx in view.coords.items():
+            for y, cy in view.coords.items():
+                below = all(p <= q for p, q in zip(cx, cy))
+                assert below == rs.leq(x, y), (view, x, y)
+    if label == "D6":
+        # a view spanned by a non-simple root: a bonded pair was merged
+        assert any(rs.heights[p] > 1 for v in views for p in v.simple_positions)
 
 
 @pytest.mark.parametrize("label", ALL_TYPES)
