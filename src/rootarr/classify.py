@@ -31,7 +31,6 @@ from .ideals import (
     Ideal,
     SubsystemView,
     _bond_position,
-    _spanned_view,
     ab_pairs,
     contains_f4_bad_ideal,
     f4_bad_witness,
@@ -40,7 +39,7 @@ from .ideals import (
     restrict_mask,
     BadIdealWitness,
 )
-from .matroid import Arrangement
+from .matroid import Arrangement, Flat
 
 
 class EquivalenceViolation(RuntimeError):
@@ -163,37 +162,34 @@ def _arr(system: RootSystem, mask: int) -> Arrangement:
     return Arrangement(system, _bits(mask))
 
 
-def _generic_search(arr: Arrangement) -> Optional[tuple[int, ...]]:
+def _generic_search(
+    system: RootSystem, mask: int, rank: int, flats: Sequence[Flat]
+) -> Optional[tuple[int, ...]]:
     """Blocks as masks, bottom-up, or None; memoized on the ground mask.
 
-    A coatom's arrangement is built only on a memo miss, and nothing keeps it.
+    ``flats`` holds every flat on ``mask``, maybe more, in (rank, members)
+    order.  The flats of a matroid restricted to a flat X are its flats
+    inside X, so a coatom's search reads the same list; it builds nothing.
     """
-    system, mask = arr.system, arr.ground_mask
     memo = system._generic_ss_memo
     if mask in memo:
         return memo[mask]
     if mask == 0:
         memo[mask] = ()
         return ()
-    r = arr.rank()
     result = None
-    for f in arr.flats():
-        if f.rank != r - 1:
+    for f in flats:
+        if f.rank != rank - 1 or f.members & ~mask:
             continue
         pi = mask & ~f.members
-        ok = True
         members = list(_bits(pi))
-        for a in range(len(members)):
-            for b in range(a + 1, len(members)):
-                span = system.pair_span_mask(members[a], members[b])
-                if not span & mask & f.members:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if not ok:
+        if not all(
+            system.pair_span_mask(members[a], members[b]) & f.members
+            for a in range(len(members))
+            for b in range(a + 1, len(members))
+        ):
             continue
-        sub = memo[f.members] if f.members in memo else _generic_search(_arr(system, f.members))
+        sub = _generic_search(system, f.members, rank - 1, flats)
         if sub is not None:
             result = sub + (pi,)
             break
@@ -208,7 +204,7 @@ def is_supersolvable_generic(arr: Arrangement) -> Optional[PartitionCertificate]
     flat met by the pair-closure of each of the block's pairs, recursing on
     the flat.  Deterministic: coatoms are tried in flat order.
     """
-    blocks = _generic_search(arr)
+    blocks = _generic_search(arr.system, arr.ground_mask, arr.rank(), arr.flats())
     if blocks is None:
         return None
     return PartitionCertificate(
@@ -222,13 +218,13 @@ def validate_supersolving(system: RootSystem, blocks: Sequence[Sequence[int]]) -
     """Check an ordered partition against the supersolving conditions.
 
     Stage i (the first i blocks) must have rank i, and no rank-2 flat of
-    stage i may sit inside block i.
+    stage i may sit inside block i.  An index outside the system fails.
     """
     stage = 0
     for i, block in enumerate(blocks, start=1):
         bmask = 0
         for x in block:
-            if stage >> x & 1 or bmask >> x & 1:
+            if not 0 <= x < system.nroots or stage >> x & 1 or bmask >> x & 1:
                 return False
             bmask |= 1 << x
         if not bmask:
@@ -256,17 +252,9 @@ def _rootideal_search(
     if mask == 0:
         return ()
     memo = table._ss_memo
-    if mask in memo:
-        return memo[mask]
-    # Essentialize: restrict to the parabolic subsystem spanned by the
-    # simple roots the ideal actually contains.
-    present = [p for p in table.simple_positions if mask >> p & 1]
-    if len(present) < table.rank:
-        result = _rootideal_search(_spanned_view(table.base, present), mask)
-    else:
-        result = _rootideal_top(table, mask)
-    memo[mask] = result
-    return result
+    if mask not in memo:
+        memo[mask] = _rootideal_top(table, mask)
+    return memo[mask]
 
 
 def _rootideal_top(
@@ -274,14 +262,14 @@ def _rootideal_top(
 ) -> Optional[tuple[tuple[tuple[int, ...], tuple], ...]]:
     """Blocks with meta, bottom-up, for the first top block that works.
 
-    ``mask`` is an essential ideal (it contains every simple root).  None
-    when no candidate top block leads to a supersolving partition.  The
-    order comes from the base system, which a view's order agrees with
+    ``mask`` is a nonempty ideal of ``table``, which may lack simple roots.
+    None when no candidate top block leads to a supersolving partition.
+    The order comes from the base system, which a view's order agrees with
     (see ``SubsystemView``).
     """
     base = table.base
-    # Case (a): the filter of a simple root, provided it is a chain.
-    for pos in table.simple_positions:
+    # Case (a): the filter of a simple root in the ideal, if it is a chain.
+    for pos in (p for p in table.simple_positions if mask >> p & 1):
         fmask = mask & base.up_masks[pos]
         if not base.is_chain_mask(fmask):
             continue
@@ -306,7 +294,8 @@ def _rootideal_top(
                     for y in range(x + 1, len(members))
                 ):
                     continue
-                view, rest = restrict_mask(table, mask & ~gmask, k1, k2, a, b)
+                rest = mask & ~gmask
+                view = restrict_mask(table, k1, k2, a, b)
                 assert all(  # rest is an ideal of the view
                     base.down_masks[i] & view.full_mask & ~rest == 0 for i in _bits(rest)
                 )
@@ -322,9 +311,12 @@ def is_supersolvable_rootideal(ideal: Ideal) -> Optional[PartitionCertificate]:
 
     Same verdict as the generic search, but top-block candidates are only
     the chain filters of simple roots and the bonded-pair complement
-    blocks; after the latter the search continues inside the rank-lowered
-    root subsystem.  Candidates are tried in simple-root order, filters
-    before pair blocks, so certificates are reproducible.
+    blocks; after the latter, and only there, the search continues inside
+    the rank-lowered root subsystem.  Candidates are tried in simple-root
+    order, filters before pair blocks.  Chain peeling tries the same
+    filters in the same order, and by the paper's theorem a remainder is
+    supersolvable iff it is peelable; so on a supersolvable ideal the
+    certificate is the peeling's, blocks and meta alike.
     """
     found = _rootideal_search(ideal.system, ideal.mask)
     if found is None:

@@ -6,7 +6,7 @@ Only input parsing is mapped to exit 2: an exception raised inside
 classification or a suite is a fault and propagates with its traceback.
 
 Surveys classify every ideal of a type and write a JSON report
-(``schema: 2``); identical invocations produce byte-identical output
+(``schema: 3``); identical invocations produce byte-identical output
 except for the ``timing_seconds`` field.  ``--format csv`` with ``--out
 R.json`` writes the JSON report to ``R.json`` and the CSV table to
 ``R.csv``.  Before any ideal is classified, the survey exits 2 if
@@ -33,7 +33,7 @@ from .ideals import Ideal, enumerate_ideals
 from .classify import EquivalenceViolation, classify_ideal
 from .suites import SUITES
 
-SCHEMA = 2
+SCHEMA = 3
 
 
 def _err(msg: str) -> None:

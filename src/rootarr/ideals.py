@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .rootsystem import (
     RootSystem,
@@ -271,18 +271,16 @@ class SubsystemView:
     The search reads filters, chains and downward closure off the base
     order, because a view's componentwise order is the base order on its
     roots.  Views arise only by restriction, starting from the base's
-    simple roots, and each restriction does one of two things: it keeps a
-    subset of the current simple roots, or it merges a bonded pair into
-    a*delta_k1 + b*delta_k2 with a, b > 0 and keeps the rest.  Either way,
-    a vector in the new span has nonnegative coordinates over the new
-    basis iff it has them over the old one: in the first case the
-    coordinates agree; in the second, coordinate c of the merged root
-    becomes old coordinates a*c and b*c.  So beta <= gamma over the new
-    basis iff beta <= gamma over the old one, and by induction from the
-    base's simple roots, iff beta <= gamma in the base.  This fails for an
-    arbitrary independent delta: in A3, delta = {010, 111} makes 010 and
+    simple roots, and each restriction merges a bonded pair into
+    a*delta_k1 + b*delta_k2 with a, b > 0 and keeps the other simple roots.
+    A vector in the new span has nonnegative coordinates over the new basis
+    iff it has them over the old one, since coordinate c of the merged
+    root becomes old coordinates a*c and b*c.  So beta <= gamma over the
+    new basis iff beta <= gamma over the old one, and by induction from
+    the base's simple roots, iff beta <= gamma in the base.  This fails for
+    an arbitrary independent delta: in A3, delta = {010, 111} makes 010 and
     111 incomparable over delta, although 010 <= 111 in the base.
-    Construct via :func:`_spanned_view`.
+    Construct via :func:`restrict_mask`.
     """
 
     def __init__(self, base: RootSystem, delta: tuple[int, ...]):
@@ -319,26 +317,21 @@ class SubsystemView:
         return f"SubsystemView({self.base.label}: <{delta}>, {len(self.coords)} roots)"
 
 
-def _spanned_view(base: RootSystem, delta: Iterable[int]) -> SubsystemView:
-    """The view spanned by base roots ``delta``; cached on ``base`` by sorted delta."""
-    key = tuple(sorted(delta))
-    view = base._views.get(key)
-    if view is None:
-        view = base._views[key] = SubsystemView(base, key)
-    return view
-
-
 def restrict_mask(
-    table: RootSystem | SubsystemView, mask: int, ai: int, bi: int, a: int, b: int
-) -> tuple[SubsystemView, int]:
+    table: RootSystem | SubsystemView, ai: int, bi: int, a: int, b: int
+) -> SubsystemView:
     """The subsystem spanned by the bond root and the other simple roots.
 
     ``ai``/``bi`` are coordinate axes and ``a*alpha_ai + b*alpha_bi`` must
-    be a root; ``mask`` must avoid the ``g_set_mask`` block, so every
-    member lies in the subsystem.  Returns the view and ``mask`` unchanged,
-    since a view keeps its base's root indices.  No validation.
+    be a root; no validation.  A mask avoiding the ``g_set_mask`` block is
+    a mask of the view as it stands.  Cached on the base by sorted delta.
     """
     delta = [_bond_position(table, ai, bi, a, b)] + [
         p for k, p in enumerate(table.simple_positions) if k not in (ai, bi)
     ]
-    return _spanned_view(table.base, delta), mask
+    key = tuple(sorted(delta))
+    base = table.base
+    view = base._views.get(key)
+    if view is None:
+        view = base._views[key] = SubsystemView(base, key)
+    return view

@@ -2,29 +2,8 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-import pytest
-
 from rootarr import classify_ideal, enumerate_ideals
 from rootarr.rootsystem import build_root_system
-
-
-def pytest_addoption(parser):
-    parser.addoption(
-        "--runslow", action="store_true", default=False, help="run slow extended suites"
-    )
-
-
-def pytest_configure(config):
-    config.addinivalue_line("markers", "slow: extended suites, skipped by default")
-
-
-def pytest_collection_modifyitems(config, items):
-    if config.getoption("--runslow"):
-        return
-    skip = pytest.mark.skip(reason="needs --runslow")
-    for item in items:
-        if "slow" in item.keywords:
-            item.add_marker(skip)
 
 
 @lru_cache(maxsize=None)

@@ -168,6 +168,12 @@ def test_validate_supersolving_rejects_bad_partitions():
     assert not validate_supersolving(rs, [(parse_root(rs, "10"), parse_root(rs, "01")), (parse_root(rs, "11"),)])
 
 
+def test_validate_supersolving_rejects_out_of_range_indices():
+    rs = get_system("A2")
+    assert not validate_supersolving(rs, ((7,),))
+    assert not validate_supersolving(rs, ((-1,),))
+
+
 # -- root-ideal supersolvability -------------------------------------------------------
 
 
@@ -241,6 +247,35 @@ def test_generic_and_rootideal_agree(label):
             assert fast.block_sizes() == slow.block_sizes()
 
 
+PEELING_TYPES = (
+    [f"A{n}" for n in range(2, 7)]
+    + [f"B{n}" for n in range(2, 6)]
+    + [f"C{n}" for n in range(3, 6)]
+    + ["D4", "D5", "D6", "E6", "F4", "G2"]
+)
+
+
+@pytest.mark.parametrize("label", PEELING_TYPES)
+def test_rootideal_certificate_is_the_peeling(label):
+    # Both searches try the simple roots' filters in one order, and a
+    # remainder is supersolvable iff it is peelable, so they pick the same
+    # blocks on every supersolvable ideal.
+    rs = get_system(label)
+    for ideal in enumerate_ideals(rs):
+        fast, peel = is_supersolvable_rootideal(ideal), chain_peeling(ideal)
+        assert (fast is None) == (peel is None)
+        if peel is not None:
+            assert (fast.blocks, fast.block_meta) == (peel.blocks, peel.block_meta)
+
+
+@pytest.mark.parametrize("label", ["A5", "B4", "D5", "F4"])
+def test_whole_type_search_builds_no_view(label):
+    rs = build_root_system(label)  # fresh: no view left by other tests
+    for ideal in enumerate_ideals(rs):
+        is_supersolvable_rootideal(ideal)
+    assert not rs._views
+
+
 # -- exponents ---------------------------------------------------------------------------
 
 
@@ -299,21 +334,21 @@ def test_no_arrangement_outlives_classification(label, monkeypatch):
             built.append(self.ground_mask)
 
     monkeypatch.setattr(classify, "Arrangement", Counted)
-    # Largest first, so coatom sub-searches miss the memo and build arrangements.
+    # Largest first, so coatom sub-searches miss the memo and recurse.
     ideals = sorted(enumerate_ideals(rs), key=lambda i: -i.size)
     for ideal in ideals:
         classify_ideal(ideal)
     gc.collect()
     assert not [o for o in gc.get_objects() if isinstance(o, Arrangement) and o.system is rs]
-    assert len(built) > len(ideals)  # one per ideal, and the coatoms' own
+    assert len(built) == len(ideals)  # one per ideal; coatoms reuse its flats
 
 
 def test_classify_rejects_view_ideals():
     rs = get_system("A3")
     rest = rs.full_mask & ~g_set_mask(rs, rs.full_mask, 0, 1, 1, 1)
-    view, vmask = restrict_mask(rs, rest, 0, 1, 1, 1)
+    view = restrict_mask(rs, 0, 1, 1, 1)
     with pytest.raises(ValueError):
-        Ideal(view, vmask)
+        Ideal(view, rest)
 
 
 def test_record_json_roundtrip():

@@ -124,7 +124,7 @@ def test_survey_d4(tmp_path, capsys):
     code, _, err = run(capsys, "survey", "--type", "D4", "--out", str(out_file))
     assert code == 0
     report = json.loads(out_file.read_text())
-    assert report["schema"] == 2
+    assert report["schema"] == 3
     assert report["ideal_count"] == 50 == len(report["records"])
     assert report["summary"]["non_supersolvable"] == 3
     assert report["equivalence_ok"] is True
@@ -159,10 +159,10 @@ def test_survey_parallel_matches_serial(tmp_path, capsys):
 # sha256 of each whole survey report minus ``timing_seconds``, as JSON with
 # sorted keys: every verdict, certificate and witness of the type.
 PINNED_SURVEYS = {
-    "D4": "b0d96350466ea04ce06ba5608b1128d2e8b473d955a437a255fe968fde9f8269",
-    "F4": "8108b1b1d54b347c096d0cc3b69cf45f1473e9f5f8d16ed4a31d72d95c9ecd52",
-    "B4": "508b6bd17903d35548d393a6cba2f0cc8b67fdbac444520c5bf21dbd0f390ef6",
-    "D5": "c14aa65d7ab4037dc69603e57ed4b91d9e0eb590a1c7f097ea928da7c1b2c9f1",
+    "D4": "6e7785c2f1b665f3b67266bed7c1c1089e27ca3da3ac247a4bfe1ed587e0f5c0",
+    "F4": "f207fd082258ac917e4c2e1c78048299e9bd7394b7f259ce04defc21a03b26c4",
+    "B4": "6fd4c7405bc0b33a440131f5159d1f03c9cb2f0c2255653d601dd951818b0ab2",
+    "D5": "7c87283e82ac49986ac57992033dd9c9bcc47d78cc4528baf7f8759df2b81014",
 }
 
 

@@ -19,7 +19,7 @@ from rootarr import (
     format_root,
     parse_root,
 )
-from rootarr.ideals import _spanned_view, ab_pairs, f4_height4_mask, g_set_mask, restrict_mask
+from rootarr.ideals import SubsystemView, ab_pairs, f4_height4_mask, g_set_mask, restrict_mask
 from conftest import get_system
 from test_matroid import frac_rank
 
@@ -241,7 +241,7 @@ def test_candidate_ab_pairs():
 def restrict(rs, mask, ai, bi, a, b):
     """The search's restriction step: drop the pair block, restrict into the view."""
     rest = mask & ~g_set_mask(rs, mask, ai, bi, a, b)
-    return restrict_mask(rs, rest, ai, bi, a, b)
+    return restrict_mask(rs, ai, bi, a, b), rest
 
 
 def view_leq(view, x: int, y: int) -> bool:
@@ -331,7 +331,7 @@ def test_restriction_view_coordinates_recombine(label):
 def test_subsystem_view_rejects_dependent_spanning_set():
     rs = get_system("A2")
     with pytest.raises(ValueError):
-        _spanned_view(rs, [parse_root(rs, "10"), parse_root(rs, "01"), parse_root(rs, "11")])
+        SubsystemView(rs, (parse_root(rs, "10"), parse_root(rs, "01"), parse_root(rs, "11")))
 
 
 # -- bad ideals -----------------------------------------------------------------------

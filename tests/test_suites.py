@@ -49,7 +49,6 @@ def test_line_closed_oracle_suite(label):
     assert result.ok, result.failures[:3]
 
 
-@pytest.mark.slow
 def test_extended_e6_equivalence():
     # every E6 ideal classifies consistently; the bad ones are exactly the
     # star-ideal containers
