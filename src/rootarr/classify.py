@@ -26,16 +26,13 @@ import shlex
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .rootsystem import RootSystem, _bits, _echelon, format_root
+from .rootsystem import RootSystem, _bits, format_root
 from .ideals import (
     Ideal,
     SubsystemView,
-    _bond_position,
-    ab_pairs,
     contains_f4_bad_ideal,
     f4_bad_witness,
     find_star_ideal,
-    g_set_mask,
     restrict_mask,
     BadIdealWitness,
 )
@@ -230,8 +227,7 @@ def validate_supersolving(system: RootSystem, blocks: Sequence[Sequence[int]]) -
         if not bmask:
             return False
         stage |= bmask
-        rows = _echelon(system.coords[x] for x in _bits(stage))
-        if len(rows) != i:
+        if _arr(system, stage).rank() != i:
             return False
         members = list(_bits(bmask))
         for a in range(len(members)):
@@ -265,7 +261,8 @@ def _rootideal_top(
     ``mask`` is a nonempty ideal of ``table``, which may lack simple roots.
     None when no candidate top block leads to a supersolving partition.
     The order comes from the base system, which a view's order agrees with
-    (see ``SubsystemView``).
+    (see ``SubsystemView``).  Pair blocks come from ``table.bonds``, and
+    the remainder ``mask & keep`` is searched in the view of that bond.
     """
     base = table.base
     # Case (a): the filter of a simple root in the ideal, if it is a chain.
@@ -279,30 +276,29 @@ def _rootideal_top(
 
     # Case (b): the complement of the multiples of a bonded pair; the
     # remainder is an ideal of the rank-lowered subsystem.
-    for k1 in range(table.rank):
-        for k2 in range(k1 + 1, table.rank):
-            for a, b in ab_pairs(table, k1, k2):
-                if not mask >> _bond_position(table, k1, k2, a, b) & 1:
-                    continue  # remainder would lose a full rank
-                gmask = g_set_mask(table, mask, k1, k2, a, b)
-                if not gmask:
-                    continue
-                members = tuple(_bits(gmask))
-                if not all(
-                    base.pair_span_mask(members[x], members[y]) & mask & ~gmask
-                    for x in range(len(members))
-                    for y in range(x + 1, len(members))
-                ):
-                    continue
-                rest = mask & ~gmask
-                view = restrict_mask(table, k1, k2, a, b)
-                assert all(  # rest is an ideal of the view
-                    base.down_masks[i] & view.full_mask & ~rest == 0 for i in _bits(rest)
-                )
-                sub = _rootideal_search(view, rest)
-                if sub is not None:
-                    meta = ("G", table.simple_positions[k1], table.simple_positions[k2], a, b)
-                    return sub + ((members, meta),)
+    for block in table.bonds:
+        k1, k2, a, b, bond, keep = block
+        if not mask >> bond & 1:
+            continue  # remainder would lose a full rank
+        gmask = mask & ~keep
+        if not gmask:
+            continue
+        members = tuple(_bits(gmask))
+        if not all(
+            base.pair_span_mask(members[x], members[y]) & mask & ~gmask
+            for x in range(len(members))
+            for y in range(x + 1, len(members))
+        ):
+            continue
+        rest = mask & keep
+        view = restrict_mask(table, block)
+        assert all(  # rest is an ideal of the view
+            base.down_masks[i] & view.full_mask & ~rest == 0 for i in _bits(rest)
+        )
+        sub = _rootideal_search(view, rest)
+        if sub is not None:
+            meta = ("G", table.simple_positions[k1], table.simple_positions[k2], a, b)
+            return sub + ((members, meta),)
     return None
 
 

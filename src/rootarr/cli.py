@@ -9,12 +9,13 @@ Surveys classify every ideal of a type and write a JSON report
 (``schema: 3``); identical invocations produce byte-identical output
 except for the ``timing_seconds`` field.  ``--format csv`` with ``--out
 R.json`` writes the JSON report to ``R.json`` and the CSV table to
-``R.csv``.  Before any ideal is classified, the survey exits 2 if
-``--out`` ends in ``.csv`` (the table would overwrite the report), is a
-directory, lies in a directory that does not exist, or, with ``--format
-csv``, if ``R.csv`` is a directory.  Types of rank 7 and up are refused
-without ``--force`` (an E8 survey classifies 25080 ideals of up to 120
-roots; expect hours, not minutes).
+``R.csv``.  ``--jobs N`` starts at most one worker per CPU and per ideal.
+Before any ideal is classified, the survey exits 2 if ``--out`` ends in
+``.csv`` (the table would overwrite the report), is a directory, lies in
+a directory that does not exist, or, with ``--format csv``, if ``R.csv``
+is a directory.  Types of rank 7 and up are refused without ``--force``
+(an E8 survey classifies 25080 ideals of up to 120 roots; expect hours,
+not minutes).
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -139,14 +141,16 @@ def run_survey(type_str: str, jobs: int = 1) -> dict:
     Records follow ``enumerate_ideals``' (size, mask) order, which
     ``pool.map`` keeps, so serial and parallel runs give identical lists.
     A serial survey classifies on the system it enumerated and releases it
-    (and its memos) on return; each worker builds its own.
+    (and its memos) on return; each worker builds its own.  The pool has at
+    most one worker per CPU and per ideal, as it starts them all at once.
     """
     rs = _load_system(type_str)
     started = time.perf_counter()
     masks = [ideal.mask for ideal in enumerate_ideals(rs)]
     if jobs > 1:
         with ProcessPoolExecutor(
-            max_workers=jobs, initializer=_worker_init, initargs=(type_str,)
+            max_workers=min(jobs, os.cpu_count() or 1, len(masks)),
+            initializer=_worker_init, initargs=(type_str,)
         ) as pool:
             results = list(pool.map(_classify_in_worker, masks, chunksize=8))
     else:
@@ -305,7 +309,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("survey", help="classify every ideal of a type and report")
     p.add_argument("--type", required=True)
-    p.add_argument("--jobs", type=int, default=1, help="parallel classification workers")
+    p.add_argument(
+        "--jobs", type=int, default=1, help="parallel workers, at most one per CPU and per ideal"
+    )
     p.add_argument("--out", help="write the JSON report here instead of stdout")
     p.add_argument(
         "--format",

@@ -1,18 +1,18 @@
-"""Order ideals of the root poset and their block candidates.
+"""Order ideals of the root poset and the subsystems they restrict into.
 
 An ideal is a downward-closed set of positive roots, stored as a bitmask
 over root indices.  This module enumerates all ideals of a system,
-computes the bonded-pair candidate top blocks of the supersolvability
-search (the complement-of-multiples sets attached to a bonded pair of
-simple roots; the other kind, the filter of a simple root at position p,
-is just ``mask & system.up_masks[p]``), restricts ideals into root
-subsystems, and detects the two minimal obstructions: the star
-configuration around a degree-3 Dynkin node, and the F4 ideal of all roots
-of height at most four.
+restricts ideals into root subsystems, and detects the two minimal
+obstructions: the star configuration around a degree-3 Dynkin node, and
+the F4 ideal of all roots of height at most four.  The search's candidate
+top blocks need no code here: the filter of the simple root at position p
+is ``mask & system.up_masks[p]``, and a bonded-pair complement block is
+``mask & ~keep`` for an entry of ``table.bonds``.
 
 A root subsystem is a :class:`SubsystemView`: a coordinate chart on its
 base system that keeps the base's root indices, so a mask means the same
-roots in a system and in every view of it.
+roots in a system and in every view of it.  A view is its parent's chart
+with the two axes of a bonded pair merged into one.
 """
 
 from __future__ import annotations
@@ -24,9 +24,8 @@ from typing import Iterator, Sequence
 from .rootsystem import (
     RootSystem,
     _bits,
-    _echelon,
+    _bond_blocks,
     _mask_of,
-    _reduce,
     format_root,
     parse_root,
 )
@@ -137,49 +136,6 @@ def enumerate_ideals(rs: RootSystem) -> Iterator[Ideal]:
         yield Ideal(rs, mask)
 
 
-def g_set_mask(
-    table: RootSystem | SubsystemView, mask: int, ai: int, bi: int, a: int, b: int
-) -> int:
-    """Members whose (ai, bi)-coordinate pair is not a multiple of (a, b).
-
-    ``ai`` and ``bi`` are the coordinate axes of two distinct simple roots,
-    not root indices, and ``a*alpha_ai + b*alpha_bi`` must be a positive
-    root; no validation.  Multiples include the zero multiple, so members
-    supported away from both simple roots are excluded as well.  The
-    result is the bonded-pair complement block, as a mask.
-    """
-    out = 0
-    for i in _bits(mask):
-        v = table.coords[i]
-        ca, cb = v[ai], v[bi]
-        if ca % a == 0 and cb == (ca // a) * b:
-            continue  # the multiple k = ca // a works, so i is excluded
-        out |= 1 << i
-    return out
-
-
-def _bond_position(
-    table: RootSystem | SubsystemView, ai: int, bi: int, a: int, b: int
-) -> int | None:
-    """Position of the root ``a*alpha_ai + b*alpha_bi``, or None if no root."""
-    v = tuple(a if k == ai else b if k == bi else 0 for k in range(table.rank))
-    return table.index_of.get(v)
-
-
-def ab_pairs(table: RootSystem | SubsystemView, ai: int, bi: int) -> list[tuple[int, int]]:
-    """Sorted (a, b) with a, b >= 1 making a*alpha_ai + b*alpha_bi a root.
-
-    ``ai`` and ``bi`` are distinct coordinate axes.  Found by scanning the
-    roots supported exactly on the two axes, so triple bonds need no
-    special casing.  Empty when the two simple roots are not bonded.
-    """
-    pairs = []
-    for v in table.index_of:
-        if v[ai] >= 1 and v[bi] >= 1 and sum(v) == v[ai] + v[bi]:
-            pairs.append((v[ai], v[bi]))
-    return sorted(pairs)
-
-
 @dataclass(frozen=True)
 class BadIdealWitness:
     """Witness for one of the two minimal non-supersolvable configurations.
@@ -265,8 +221,9 @@ class SubsystemView:
     Its roots are the base roots in the span of an independent set delta
     of base roots, under their base indices.  ``simple_positions`` is delta,
     sorted; axis k of the chart is root ``simple_positions[k]``.  ``coords``
-    maps each root's base index to its coordinates over delta, ``index_of``
-    maps them back, and ``full_mask`` is the mask of the view's roots.
+    maps each root's base index to its coordinates over delta,
+    ``full_mask`` is the mask of the view's roots, and ``bonds`` are its
+    bonded pairs, as for a :class:`RootSystem`.
 
     The search reads filters, chains and downward closure off the base
     order, because a view's componentwise order is the base order on its
@@ -280,36 +237,22 @@ class SubsystemView:
     the base's simple roots, iff beta <= gamma in the base.  This fails for
     an arbitrary independent delta: in A3, delta = {010, 111} makes 010 and
     111 incomparable over delta, although 010 <= 111 in the base.
-    Construct via :func:`restrict_mask`.
+    The view's roots are its parent's roots in the block's ``keep``: each is
+    c_k1 / a times the merged root plus its other coordinates' simple roots,
+    so axes k1 and k2 merge into c_k1 // a.  Construct via :func:`restrict_mask`.
     """
 
-    def __init__(self, base: RootSystem, delta: tuple[int, ...]):
-        self.base = base
+    def __init__(self, parent, block: tuple, delta: tuple[int, ...]):
+        k1, _, a, _, bond, keep = block
+        self.base = parent.base
         self.simple_positions = delta
-        self.rank = k = len(delta)
-        dim = base.rank
-        # Echelon the rows (delta_j | e_j | 0) and reduce (v | 0 | 1).  When
-        # the first ``dim`` entries vanish the result is (0 | -lam*c | lam),
-        # where v = sum_j c_j delta_j; otherwise v is outside the span.
-        rows = _echelon(
-            base.coords[d] + tuple(int(t == j) for t in range(k)) + (0,)
-            for j, d in enumerate(delta)
-        )
-        if any(piv >= dim for piv, _ in rows):
-            raise ValueError("subsystem spanning set must be linearly independent")
-        self.coords: dict[int, tuple[int, ...]] = {}
-        for idx, v in enumerate(base.coords):
-            r = _reduce(rows, v + (0,) * k + (1,))
-            if any(r[:dim]):
-                continue
-            lam, tail = r[-1], r[dim:-1]
-            c = tuple(-t // lam for t in tail)
-            assert all(
-                x >= 0 and x * lam == -t for x, t in zip(c, tail)
-            ), "subsystem coordinates must be nonneg integers"
-            self.coords[idx] = c
-        self.index_of = {c: idx for idx, c in self.coords.items()}
-        self.full_mask = _mask_of(self.coords)
+        # (parent axis, divisor) for each new axis, in delta order.
+        axes = [(k1, a) if p == bond else (parent.simple_positions.index(p), 1) for p in delta]
+        self.coords: dict[int, tuple[int, ...]] = {
+            i: tuple(parent.coords[i][k] // d for k, d in axes) for i in _bits(keep)
+        }
+        self.full_mask = keep
+        self.bonds = _bond_blocks(self.coords.items())
         self._ss_memo: dict[int, object] = {}
 
     def __repr__(self) -> str:
@@ -317,21 +260,16 @@ class SubsystemView:
         return f"SubsystemView({self.base.label}: <{delta}>, {len(self.coords)} roots)"
 
 
-def restrict_mask(
-    table: RootSystem | SubsystemView, ai: int, bi: int, a: int, b: int
-) -> SubsystemView:
-    """The subsystem spanned by the bond root and the other simple roots.
+def restrict_mask(table: RootSystem | SubsystemView, block: tuple) -> SubsystemView:
+    """The subsystem spanned by a bond root and the other simple roots.
 
-    ``ai``/``bi`` are coordinate axes and ``a*alpha_ai + b*alpha_bi`` must
-    be a root; no validation.  A mask avoiding the ``g_set_mask`` block is
-    a mask of the view as it stands.  Cached on the base by sorted delta.
+    ``block`` is one of ``table.bonds``; a mask inside its ``keep`` is a
+    mask of the view as it stands.  Cached on the base by sorted delta.
     """
-    delta = [_bond_position(table, ai, bi, a, b)] + [
-        p for k, p in enumerate(table.simple_positions) if k not in (ai, bi)
-    ]
-    key = tuple(sorted(delta))
-    base = table.base
-    view = base._views.get(key)
-    if view is None:
-        view = base._views[key] = SubsystemView(base, key)
-    return view
+    k1, k2, _, _, bond, _ = block
+    others = (p for k, p in enumerate(table.simple_positions) if k not in (k1, k2))
+    key = tuple(sorted((bond, *others)))
+    views = table.base._views
+    if key not in views:
+        views[key] = SubsystemView(table, block, key)
+    return views[key]

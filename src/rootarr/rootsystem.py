@@ -205,12 +205,34 @@ def _mask_of(indices: Iterable[int]) -> int:
     return mask
 
 
+def _bond_blocks(roots: Iterable[tuple[int, tuple[int, ...]]]) -> tuple[tuple, ...]:
+    """Sorted ``(k1, k2, a, b, bond, keep)``, one per root supported on two axes.
+
+    Root ``bond`` is ``a*alpha_k1 + b*alpha_k2`` with k1 < k2, over a table
+    of (index, coordinates) roots.  ``keep`` masks the roots whose (k1, k2)
+    pair is a nonnegative integer multiple of (a, b), which are the roots in
+    the span of the bond and the other simple roots, as a and b are coprime.
+    The bonded-pair complement block of an ideal ``mask`` is ``mask & ~keep``.
+    """
+    roots = list(roots)
+    blocks = []
+    for bond, v in roots:
+        support = [k for k, x in enumerate(v) if x]
+        if len(support) == 2:
+            k1, k2 = support
+            a, b = v[k1], v[k2]
+            keep = _mask_of(i for i, c in roots if c[k1] % a == 0 and c[k2] == c[k1] // a * b)
+            blocks.append((k1, k2, a, b, bond, keep))
+    return tuple(sorted(blocks))
+
+
 class RootSystem:
     """Positive roots, Cartan data, the root poset and the bilinear form.
 
     Holds the positive roots as coordinate vectors over the simple roots,
     plus the componentwise order, heights, covers, and the bitmask helpers
-    every other module builds on.  Immutable after construction, apart from
+    every other module builds on; ``bonds`` holds the bonded pairs and their
+    blocks (:func:`_bond_blocks`).  Immutable after construction, apart from
     per-process memo caches, which never change a result; safe to share
     across workers.  The memos hold the pair spans (``_pair_span``), the
     line-closedness walk's joins (``_joins``, see ``matroid``), the
@@ -233,6 +255,7 @@ class RootSystem:
             for i in range(self.rank)
         )
         self._finish(self._generate_roots())
+        self.bonds = _bond_blocks(enumerate(self.coords))
         self._neighbours = tuple(
             tuple(j for j in range(self.rank) if j != i and self.cartan[i][j] != 0)
             for i in range(self.rank)

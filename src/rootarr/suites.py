@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .rootsystem import RootSystem, _bits, _mask_of, format_root
-from .ideals import Ideal, ab_pairs, enumerate_ideals, g_set_mask
+from .ideals import Ideal, enumerate_ideals
 from .classify import (
     _arr,
     chain_peeling,
@@ -140,14 +140,9 @@ def _top_block_candidates(rs: RootSystem, ideal: Ideal):
     present = [k for k in range(rs.rank) if mask >> rs.simple_positions[k] & 1]
     for k in present:
         yield ("F", k, frozenset(_bits(mask & rs.up_masks[rs.simple_positions[k]])))
-    for x, k1 in enumerate(present):
-        for k2 in present[x + 1 :]:
-            for a, b in ab_pairs(rs, k1, k2):
-                yield (
-                    "G",
-                    (k1, k2, a, b),
-                    frozenset(_bits(g_set_mask(rs, mask, k1, k2, a, b))),
-                )
+    for k1, k2, a, b, _, keep in rs.bonds:
+        if k1 in present and k2 in present:
+            yield ("G", (k1, k2, a, b), frozenset(_bits(mask & ~keep)))
 
 
 def suite_twocases(rs: RootSystem) -> SuiteResult:

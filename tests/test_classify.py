@@ -20,10 +20,11 @@ from rootarr import (
     parse_root,
 )
 from rootarr.classify import validate_chain_peeling, validate_supersolving
-from rootarr.ideals import f4_height4_mask, find_star_ideal, g_set_mask, restrict_mask
+from rootarr.ideals import f4_height4_mask, find_star_ideal, restrict_mask
 from rootarr.rootsystem import build_root_system
 from rootarr.suites import poly_from_block_sizes
 from conftest import classify_type, get_system
+from test_ideals import bond_block, pair_block
 from test_matroid import closure
 
 
@@ -219,7 +220,7 @@ def test_f4_candidate_blocks_all_contain_two_flats():
         ("0100", "0010", 2, 1): ("1110", "0111"),
     }
     for (a_name, b_name, a, b), (x_name, y_name) in flat_pairs.items():
-        gmask = g_set_mask(rs, ihat.mask, a_name.index("1"), b_name.index("1"), a, b)
+        gmask = pair_block(rs, ihat.mask, a_name.index("1"), b_name.index("1"), a, b)
         x, y = parse_root(rs, x_name), parse_root(rs, y_name)
         assert gmask >> x & 1 and gmask >> y & 1
         flat = closure(arr, [x, y])
@@ -345,8 +346,8 @@ def test_no_arrangement_outlives_classification(label, monkeypatch):
 
 def test_classify_rejects_view_ideals():
     rs = get_system("A3")
-    rest = rs.full_mask & ~g_set_mask(rs, rs.full_mask, 0, 1, 1, 1)
-    view = restrict_mask(rs, 0, 1, 1, 1)
+    rest = rs.full_mask & ~pair_block(rs, rs.full_mask, 0, 1, 1, 1)
+    view = restrict_mask(rs, bond_block(rs, 0, 1, 1, 1))
     with pytest.raises(ValueError):
         Ideal(view, rest)
 

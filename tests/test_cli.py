@@ -183,6 +183,40 @@ def test_survey_rejects_jobs_below_one(capsys, jobs):
     assert code == 2 and jobs in err and not out
 
 
+class SerialPool:
+    """A stand-in for ``ProcessPoolExecutor`` that records its worker count
+    and maps in this process, so no worker is started."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers, initializer, initargs):
+        self.sizes.append(max_workers)
+        initializer(*initargs)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items, chunksize=1):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize(
+    "jobs, cpus, workers",
+    [(100000, 2, 2), (100000, None, 1), (3, 64, 3), (64, 64, 5)],  # A2 has 5 ideals
+)
+def test_survey_pool_is_bounded_by_cpus_and_ideals(monkeypatch, jobs, cpus, workers):
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(cli, "_WORKER_SYSTEM", None)
+    monkeypatch.setattr(SerialPool, "sizes", [])
+    report = cli.run_survey("A2", jobs=jobs)
+    assert SerialPool.sizes == [workers]
+    assert report["records"] == cli.run_survey("A2")["records"]
+
+
 def test_survey_worker_crash_names_the_ideal(capsys, monkeypatch):
     rs = cli._load_system("A2")
     full = rs.full_mask

@@ -19,9 +19,11 @@ from rootarr import (
     format_root,
     parse_root,
 )
-from rootarr.ideals import SubsystemView, ab_pairs, f4_height4_mask, g_set_mask, restrict_mask
+from rootarr.ideals import f4_height4_mask, restrict_mask
+from rootarr.rootsystem import _mask_of
 from conftest import get_system
 from test_matroid import frac_rank
+from test_rootsystem import ALL_TYPES, bonded_pair_views
 
 
 def naive_ideal_masks(rs) -> set[int]:
@@ -178,23 +180,69 @@ def test_filter_complement_is_again_an_ideal(label):
 
 # -- the bonded-pair complement block ----------------------------------------------
 # Simple roots are named by their coordinate axes ai, bi, as in the classifier.
+# ``ab_pairs`` and ``g_set_mask`` are brute-force oracles for the bond table.
+
+
+def ab_pairs(rs, ai: int, bi: int) -> list[tuple[int, int]]:
+    """Sorted (a, b) with a, b >= 1 making a*alpha_ai + b*alpha_bi a root."""
+    pairs = []
+    for v in rs.index_of:
+        if v[ai] >= 1 and v[bi] >= 1 and sum(v) == v[ai] + v[bi]:
+            pairs.append((v[ai], v[bi]))
+    return sorted(pairs)
+
+
+def g_set_mask(table, mask: int, ai: int, bi: int, a: int, b: int) -> int:
+    """Members whose (ai, bi)-coordinate pair is not a multiple of (a, b)."""
+    out = 0
+    for i in range(mask.bit_length()):
+        if mask >> i & 1:
+            v = table.coords[i]
+            ca, cb = v[ai], v[bi]
+            if not (ca % a == 0 and cb == (ca // a) * b):
+                out |= 1 << i
+    return out
+
+
+def bond_block(table, ai: int, bi: int, a: int, b: int) -> tuple:
+    """The entry of ``table.bonds`` for the pair (ai, bi) and multipliers (a, b)."""
+    (block,) = [bl for bl in table.bonds if bl[:4] == (ai, bi, a, b)]
+    return block
+
+
+def pair_block(table, mask: int, ai: int, bi: int, a: int, b: int) -> int:
+    """The bonded-pair complement block of ``mask``, read off the bond table."""
+    return mask & ~bond_block(table, ai, bi, a, b)[5]
+
+
+@pytest.mark.parametrize("label", ALL_TYPES)
+def test_bond_table_matches_brute_force(label):
+    rs = get_system(label)
+    expect = []
+    for k1 in range(rs.rank):
+        for k2 in range(k1 + 1, rs.rank):
+            for a, b in ab_pairs(rs, k1, k2):
+                v = tuple(a if k == k1 else b if k == k2 else 0 for k in range(rs.rank))
+                keep = rs.full_mask & ~g_set_mask(rs, rs.full_mask, k1, k2, a, b)
+                expect.append((k1, k2, a, b, rs.index_of[v], keep))
+    assert rs.bonds == tuple(expect)
 
 
 def test_g_set_a2():
     rs = get_system("A2")
-    got = g_set_mask(rs, rs.full_mask, 0, 1, 1, 1)
+    got = pair_block(rs, rs.full_mask, 0, 1, 1, 1)
     assert root_names(rs, got) == {"10", "01"}
 
 
 def test_g_set_d4():
     rs = get_system("D4")
-    got = g_set_mask(rs, rs.full_mask, 0, 1, 1, 1)
+    got = pair_block(rs, rs.full_mask, 0, 1, 1, 1)
     assert root_names(rs, got) == {"1000", "0100", "0110", "0101", "0111", "1211"}
 
 
 def test_g_set_f4_bond_multiplier():
     rs = get_system("F4")
-    got = root_names(rs, g_set_mask(rs, f4_height4_mask(rs), 1, 2, 2, 1))
+    got = root_names(rs, pair_block(rs, f4_height4_mask(rs), 1, 2, 2, 1))
     assert "0210" not in got and "1000" not in got and "0001" not in got
     assert "1111" in got
     assert got == {"0100", "0010", "1100", "0110", "0011", "1110", "0111", "1111"}
@@ -205,34 +253,33 @@ def test_g_set_multiple_duality(label):
     # complement duality: gamma survives outside G iff its coordinate pair
     # is a nonnegative multiple of (a, b)
     rs = get_system(label)
-    for k1 in range(rs.rank):
-        for k2 in range(k1 + 1, rs.rank):
-            for a, b in ab_pairs(rs, k1, k2):
-                g = g_set_mask(rs, rs.full_mask, k1, k2, a, b)
-                for i in range(rs.nroots):
-                    v = rs.coords[i]
-                    multiple = any(
-                        v[k1] == k * a and v[k2] == k * b for k in range(0, 7)
-                    )
-                    assert (not g >> i & 1) == multiple
+    for k1, k2, a, b, _, keep in rs.bonds:
+        g = rs.full_mask & ~keep
+        for i in range(rs.nroots):
+            v = rs.coords[i]
+            multiple = any(v[k1] == k * a and v[k2] == k * b for k in range(0, 7))
+            assert (not g >> i & 1) == multiple
 
 
 def test_candidate_ab_pairs():
+    def pairs(rs, ai, bi):
+        return [(a, b) for k1, k2, a, b, _, _ in rs.bonds if (k1, k2) == (ai, bi)]
+
     a2 = get_system("A2")
-    assert ab_pairs(a2, 0, 1) == [(1, 1)]
+    assert pairs(a2, 0, 1) == [(1, 1)]
     b2 = get_system("B2")
-    assert ab_pairs(b2, 0, 1) == [(1, 1), (1, 2)]
+    assert pairs(b2, 0, 1) == [(1, 1), (1, 2)]
     f4 = get_system("F4")
-    assert ab_pairs(f4, 1, 2) == [(1, 1), (2, 1)]
+    assert pairs(f4, 1, 2) == [(1, 1), (2, 1)]
     g2 = get_system("G2")
-    assert ab_pairs(g2, 0, 1) == [
+    assert pairs(g2, 0, 1) == [
         (1, 1),
         (1, 2),
         (1, 3),
         (2, 3),
     ]
     a3 = get_system("A3")
-    assert ab_pairs(a3, 0, 2) == []
+    assert pairs(a3, 0, 2) == []
 
 
 # -- subsystem restriction -----------------------------------------------------------
@@ -241,7 +288,7 @@ def test_candidate_ab_pairs():
 def restrict(rs, mask, ai, bi, a, b):
     """The search's restriction step: drop the pair block, restrict into the view."""
     rest = mask & ~g_set_mask(rs, mask, ai, bi, a, b)
-    return restrict_mask(rs, ai, bi, a, b), rest
+    return restrict_mask(rs, bond_block(rs, ai, bi, a, b)), rest
 
 
 def view_leq(view, x: int, y: int) -> bool:
@@ -263,14 +310,14 @@ def test_restrict_a2_footnote_example():
     rs = get_system("A2")
     view, vmask = restrict(rs, rs.full_mask, 0, 1, 1, 1)
     top = parse_root(rs, "11")
-    assert view.rank == 1 and view.coords == {top: (1,)}
+    assert len(view.simple_positions) == 1 and view.coords == {top: (1,)}
     assert vmask == 1 << top
 
 
 def test_restrict_d4_delta():
     rs = get_system("D4")
     view, vmask = restrict(rs, rs.full_mask, 0, 1, 1, 1)
-    assert view.rank == 3
+    assert len(view.simple_positions) == 3
     assert {format_root(rs, i) for i in view.simple_positions} == {"1100", "0010", "0001"}
     assert view_is_ideal(view, vmask)
 
@@ -304,34 +351,29 @@ def test_restriction_of_every_ideal_is_an_ideal(label):
                     assert view_is_ideal(view, vmask)
 
 
-@pytest.mark.parametrize("label", ["A5", "B4", "D5", "F4", "G2", "E6"])
+@pytest.mark.parametrize("label", ["A5", "B4", "D5", "F4", "G2", "D6", "E6"])
 def test_restriction_view_coordinates_recombine(label):
-    # each view root's coordinates rebuild its base vector over the
-    # spanning roots, and the view holds exactly the base roots in the span
+    # in every view that repeated restriction reaches, each root's
+    # coordinates rebuild its base vector over the spanning roots, and the
+    # view holds exactly the base roots in the span
     rs = get_system(label)
-    for k1 in range(rs.rank):
-        for k2 in range(k1 + 1, rs.rank):
-            for a, b in ab_pairs(rs, k1, k2):
-                view, _ = restrict(rs, rs.full_mask, k1, k2, a, b)
-                delta = [rs.coords[d] for d in view.simple_positions]
-                for idx, c in view.coords.items():
-                    combo = tuple(
-                        sum(cj * d[t] for cj, d in zip(c, delta)) for t in range(rs.rank)
-                    )
-                    assert combo == rs.coords[idx]
-                    assert view.index_of[c] == idx
-                in_span = {
-                    i
-                    for i, v in enumerate(rs.coords)
-                    if frac_rank(delta + [v]) == len(delta)
-                }
-                assert set(view.coords) == in_span == set(view.index_of.values())
-
-
-def test_subsystem_view_rejects_dependent_spanning_set():
-    rs = get_system("A2")
-    with pytest.raises(ValueError):
-        SubsystemView(rs, (parse_root(rs, "10"), parse_root(rs, "01"), parse_root(rs, "11")))
+    views = bonded_pair_views(rs)
+    assert views
+    for view in views:
+        delta = [rs.coords[d] for d in view.simple_positions]
+        for idx, c in view.coords.items():
+            combo = tuple(
+                sum(cj * d[t] for cj, d in zip(c, delta)) for t in range(rs.rank)
+            )
+            assert combo == rs.coords[idx]
+        assert len(set(view.coords.values())) == len(view.coords)
+        in_span = {
+            i
+            for i, v in enumerate(rs.coords)
+            if frac_rank(delta + [v]) == len(delta)
+        }
+        assert set(view.coords) == in_span
+        assert view.full_mask == _mask_of(in_span)
 
 
 # -- bad ideals -----------------------------------------------------------------------

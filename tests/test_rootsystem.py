@@ -22,7 +22,7 @@ from rootarr import (
     parse_root,
     reflect,
 )
-from rootarr.ideals import ab_pairs, restrict_mask
+from rootarr.ideals import restrict_mask
 from rootarr.rootsystem import build_root_system
 from conftest import get_system
 
@@ -432,13 +432,11 @@ def bonded_pair_views(rs) -> list:
     views, tables = [], [rs]
     while tables:
         table = tables.pop()
-        for k1 in range(table.rank):
-            for k2 in range(k1 + 1, table.rank):
-                for a, b in ab_pairs(table, k1, k2):
-                    view = restrict_mask(table, k1, k2, a, b)
-                    if view not in views:
-                        views.append(view)
-                        tables.append(view)
+        for block in table.bonds:
+            view = restrict_mask(table, block)
+            if view not in views:
+                views.append(view)
+                tables.append(view)
     return views
 
 
