@@ -135,7 +135,7 @@ def validate_chain_peeling(ideal: Ideal, cert: PartitionCertificate) -> bool:
         block = blocks.pop()  # peeled first
         bmask = 0
         for b in block:
-            if b < 0 or not mask >> b & 1:
+            if b < 0 or not mask >> b & 1 or bmask >> b & 1:
                 return False
             bmask |= 1 << b
         if not system.is_chain_mask(bmask):

@@ -264,12 +264,8 @@ def restrict_mask(table: RootSystem | SubsystemView, block: tuple) -> SubsystemV
     """The subsystem spanned by a bond root and the other simple roots.
 
     ``block`` is one of ``table.bonds``; a mask inside its ``keep`` is a
-    mask of the view as it stands.  Cached on the base by sorted delta.
+    mask of the view as it stands.
     """
     k1, k2, _, _, bond, _ = block
     others = (p for k, p in enumerate(table.simple_positions) if k not in (k1, k2))
-    key = tuple(sorted((bond, *others)))
-    views = table.base._views
-    if key not in views:
-        views[key] = SubsystemView(table, block, key)
-    return views[key]
+    return SubsystemView(table, block, tuple(sorted((bond, *others))))

@@ -44,23 +44,21 @@ smallest-first enumeration of all 2-closed subsets, with its own
 from-scratch 2-closure, is kept alongside as an independent oracle.
 
 The flatness test of a new state goes through a join memo on the system,
-``RootSystem._joins``, filled lazily by ``_join``.  Each state S carries a
-key: a mask of system roots that contains S and lies in span(S), so
-span(key) = span(S).  The entry ``(key, v) -> [covered, cls]`` holds in
-``covered`` the key, v and every root tested so far, and in ``cls`` those
-of them outside the key that lie in span(key + v).  A lookup tests only
-the ground roots not yet covered, reducing them against the echelon rows
-of S + v, so a first lookup does the work of a plain flatness test and a
-repeated one none.  The entry depends only on span(key), never on the
-ground set, so it serves every ideal of the system.  The new state
-grown = cl2(S + v) contains S and v and lies in span(S + v), so its
-closure is ground & span(S + v).  After the lookup every ground root
-outside the key is covered, and those inside it lie in span(S), so
-(key | cls) & ground is exactly that closure: grown is a flat iff
-(key | cls) & ground == grown.  Then key | cls contains grown and lies in
-its span, so it is the child's key.  The memo reads only root
-coordinates and elimination, never the system flats, and the oracle
-below keeps its own flatness test (``is_flat_mask``).
+``RootSystem._joins``, filled lazily by ``_join``.  Each state S is held
+as its key alone: a mask of system roots that contains S and lies in
+span(S), so span(key) = span(S).  The entry ``(key, v) -> [covered, cls]``
+holds in ``covered`` the key, v and every root tested so far, and in
+``cls`` those of them outside the key that lie in span(key + v).  A lookup
+reduces only the ground roots not yet covered, against echelon rows of
+key + v built then, so a repeated lookup does no elimination.  The entry
+depends only on span(key), never on the ground set, so it serves every
+ideal of the system.  The new state grown = cl2(S + v) lies in
+span(S + v), so its closure is ground & span(S + v).  After the lookup
+every ground root outside the key is covered, and those inside it lie in
+span(S), so grown is a flat iff (key | cls) & ground == grown, and then
+key | cls is the child's key.  The memo reads only root coordinates,
+never the system flats; the oracle below keeps its own flatness test
+(``is_flat_mask``).
 
 That 2-closure (``two_closure_mask``) follows Falk's definition through
 the lines, the rank-2 flats: a set is 2-closed iff it contains every line
@@ -178,11 +176,11 @@ class Arrangement:
         they would only hit a state already in the next level, so the
         states reached and their order are those of growing every root.
 
-        Each state carries ``(key, rows)``: echelon rows of the state, and
-        a mask of system roots that contains the state and lies in its
-        span.  A rank-2 state's key is its system pair span.  A child
-        ``grown`` of a state with key ``key``, grown by root v, is a flat
-        iff ``(key | cls) & ground == grown``, where ``cls`` comes from the
+        Each state maps to its key alone: a mask of system roots that
+        contains the state and lies in its span; a rank-2 state's key is
+        its system pair span.  A child ``grown`` of a state with key
+        ``key``, grown by root v, is a flat iff
+        ``(key | cls) & ground == grown``, where ``cls`` comes from the
         system's join memo entry ``(key, v)`` through ``_join``; the module
         docstring proves it.  Its key is ``key | cls``.  The witness is the
         first new state that is not a flat, in the order rank level, parent
@@ -193,23 +191,21 @@ class Arrangement:
         if r < 3:
             return True, None
         system, g, gm = self.system, self.ground, self.ground_mask
-        coords = system.coords
-        pair: list[list[int]] = [[] for _ in coords]
+        pair: list[list[int]] = [[] for _ in range(system.nroots)]
         for i in g:
-            row = pair[i] = [0] * len(coords)
+            row = pair[i] = [0] * system.nroots
             for j in g:
                 if j != i:
                     row[j] = self._pair_mask(i, j)
-        level: dict[int, tuple[int, list[tuple[int, tuple[int, ...]]]]] = {}
+        level: dict[int, int] = {}
         for a, i in enumerate(g):
             for j in g[a + 1 :]:
                 if pair[i][j] not in level:
-                    rows = _echelon((coords[i], coords[j]))
-                    level[pair[i][j]] = (system.pair_span_mask(i, j), rows)
+                    level[pair[i][j]] = system.pair_span_mask(i, j)
         for _ in range(3, r + 1):
-            nxt: dict[int, tuple[int, list[tuple[int, tuple[int, ...]]]]] = {}
+            nxt: dict[int, int] = {}
             for state in sorted(level):
-                (key, rows), members = level[state], list(_bits(state))
+                key, members = level[state], list(_bits(state))
                 done = state
                 for v in g:
                     if done >> v & 1:
@@ -218,13 +214,10 @@ class Arrangement:
                     done |= same
                     if grown in nxt:
                         continue
-                    red = _reduce(rows, coords[v])
-                    piv = next(t for t, x in enumerate(red) if x)
-                    child = rows + [(piv, tuple(red))]
-                    child_key = key | _join(system, key, v, child, gm, grown)
+                    child_key = key | _join(system, key, v, gm, grown)
                     if child_key & gm != grown:
                         return False, frozenset(_bits(grown))
-                    nxt[grown] = (child_key, child)
+                    nxt[grown] = child_key
             level = nxt
         return True, None
 
@@ -346,24 +339,16 @@ def _grow_two_closure(
     return out, same
 
 
-def _join(
-    system: RootSystem,
-    key: int,
-    v: int,
-    rows: list[tuple[int, tuple[int, ...]]],
-    need: int,
-    grown: int,
-) -> int:
+def _join(system: RootSystem, key: int, v: int, need: int, grown: int) -> int:
     """``cls`` of the join memo entry (key, v), once it covers ``need``.
 
     Reads and fills ``system._joins[(key, v)] = [covered, cls]``, where
     ``covered`` holds key, v and every root tested so far, and ``cls``
     those of them outside key that lie in span(key + v).  Only the roots
-    of ``need`` not yet covered are tested, against ``rows``, echelon rows
-    of key + v, so a first call does the work of a plain flatness test
-    and a repeated one none.  The roots of ``grown``, a 2-closure of a
-    subset of key plus v and hence inside that span, enter ``cls``
-    untested.
+    of ``need`` not yet covered are tested, against echelon rows of
+    key + v built for them, so a repeated call does no elimination.  The
+    roots of ``grown``, a 2-closure of a subset of key plus v and hence
+    inside that span, enter ``cls`` untested.
     """
     entry = system._joins.get((key, v))
     if entry is None:
@@ -371,12 +356,13 @@ def _join(
     todo = need & ~entry[0]
     if todo:
         entry[0] |= todo
-        hit = todo & grown
-        coords = system.coords
-        for q in _bits(todo & ~grown):
-            if not any(_reduce(rows, coords[q])):
-                hit |= 1 << q
-        entry[1] |= hit
+        entry[1] |= todo & grown
+        if todo & ~grown:
+            coords = system.coords
+            rows = _echelon(coords[i] for i in (v, *_bits(key)))
+            for q in _bits(todo & ~grown):
+                if not any(_reduce(rows, coords[q])):
+                    entry[1] |= 1 << q
     return entry[1]
 
 

@@ -236,10 +236,9 @@ class RootSystem:
     per-process memo caches, which never change a result; safe to share
     across workers.  The memos hold the pair spans (``_pair_span``), the
     line-closedness walk's joins (``_joins``, see ``matroid``), the
-    subsystem views that merge a bonded pair (``_views``, see ``ideals``),
-    the system flat lattice (``_full_flats``) and the three searches'
-    verdicts per ideal mask (``_peel_memo``, ``_ss_memo``,
-    ``_generic_ss_memo``); a view holds its own ``_ss_memo``.  Use
+    system flat lattice (``_full_flats``) and the three searches' verdicts
+    per ideal mask (``_peel_memo``, ``_ss_memo``, ``_generic_ss_memo``); a
+    subsystem view (see ``ideals``) holds its own ``_ss_memo``.  Use
     :func:`build_root_system` to construct one.
     """
 
@@ -263,8 +262,6 @@ class RootSystem:
         self._pair_span: dict[tuple[int, int], int] = {}
         # Filled by matroid._join: (key, v) -> [covered, cls].
         self._joins: dict[tuple[int, int], list[int]] = {}
-        # Filled by ideals.restrict_mask: sorted delta -> view.
-        self._views: dict[tuple[int, ...], object] = {}
         # Filled by matroid._system_flats and the three searches in classify.
         self._full_flats: tuple[tuple[int, int], ...] | None = None
         self._peel_memo: dict[int, object] = {}

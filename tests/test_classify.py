@@ -19,7 +19,7 @@ from rootarr import (
     is_supersolvable_rootideal,
     parse_root,
 )
-from rootarr.classify import validate_chain_peeling, validate_supersolving
+from rootarr.classify import PartitionCertificate, validate_chain_peeling, validate_supersolving
 from rootarr.ideals import f4_height4_mask, find_star_ideal, restrict_mask
 from rootarr.rootsystem import build_root_system
 from rootarr.suites import poly_from_block_sizes
@@ -88,6 +88,17 @@ def test_all_produced_peelings_validate(label):
         cert = chain_peeling(ideal)
         if cert is not None:
             assert validate_chain_peeling(ideal, cert)
+
+
+def test_validate_chain_peeling_rejects_repeated_roots():
+    # a block that lists a root twice is no block of a partition, for
+    # either validator; without the repeats the same blocks peel A2
+    rs = get_system("A2")
+    full = Ideal(rs, rs.full_mask)
+    repeated, plain = ((0, 0), (1, 2, 1)), ((0,), (1, 2))
+    assert not validate_supersolving(rs, repeated)
+    assert not validate_chain_peeling(full, PartitionCertificate("peeling", repeated, (None, None)))
+    assert validate_chain_peeling(full, PartitionCertificate("peeling", plain, (None, None)))
 
 
 @pytest.mark.parametrize(
@@ -270,11 +281,13 @@ def test_rootideal_certificate_is_the_peeling(label):
 
 
 @pytest.mark.parametrize("label", ["A5", "B4", "D5", "F4"])
-def test_whole_type_search_builds_no_view(label):
-    rs = build_root_system(label)  # fresh: no view left by other tests
+def test_whole_type_search_builds_no_view(label, monkeypatch):
+    rs = build_root_system(label)  # fresh: no verdict left by other tests
+    views = []
+    monkeypatch.setattr(classify, "restrict_mask", lambda *args: views.append(args))
     for ideal in enumerate_ideals(rs):
         is_supersolvable_rootideal(ideal)
-    assert not rs._views
+    assert not views
 
 
 # -- exponents ---------------------------------------------------------------------------

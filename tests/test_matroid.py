@@ -25,7 +25,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rootarr import Arrangement, Flat, Ideal, build_root_system, enumerate_ideals, parse_root
+from rootarr import Arrangement, Flat, Ideal, build_root_system, enumerate_ideals, matroid, parse_root
 from rootarr.ideals import f4_height4_mask
 from rootarr.matroid import _grow_two_closure, _system_flats
 from rootarr.rootsystem import _bits, _echelon, _mask_of, _reduce, _span_mask, reflect
@@ -582,6 +582,34 @@ def test_join_memo_entries_hold_from_scratch(label):
         assert rank == frac_rank_of_mask(label, key) + 1
         for q in _bits(covered & ~key):
             assert (cls >> q & 1) == (frac_rank_of_mask(label, key | 1 << v | 1 << q) == rank)
+
+
+@pytest.mark.parametrize("label", ["D5", "F4", "E6"])
+def test_second_walk_of_an_ideal_does_no_elimination(label, monkeypatch):
+    # walk states hold only their join keys, and a join entry builds echelon
+    # rows only for roots it has not tested, so walking an ideal again on
+    # the same system reads the memo alone
+    rs = build_root_system(label)
+    calls = []
+
+    def counted(name):
+        real = getattr(matroid, name)
+
+        def call(*args):
+            calls.append(name)
+            return real(*args)
+
+        return call
+
+    for ideal in list(enumerate_ideals(rs))[::7]:
+        first = Arrangement(rs, ideal.members()).is_line_closed()
+        again = Arrangement(rs, ideal.members())
+        again.rank()
+        with monkeypatch.context() as m:
+            m.setattr(matroid, "_echelon", counted("_echelon"))
+            m.setattr(matroid, "_reduce", counted("_reduce"))
+            assert again.is_line_closed() == first
+    assert calls == []
 
 
 # -- flats of a subarrangement ---------------------------------------------------------------
