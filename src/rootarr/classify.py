@@ -26,7 +26,7 @@ import shlex
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .rootsystem import RootSystem, _bits, format_root
+from .rootsystem import RootSystem, _bits, _echelon, _memoized, format_root
 from .ideals import (
     Ideal,
     SubsystemView,
@@ -83,6 +83,7 @@ class PartitionCertificate:
 # -- chain peeling -----------------------------------------------------------
 
 
+@_memoized
 def _peel_search(system: RootSystem, mask: int) -> Optional[tuple[tuple[int, int], ...]]:
     """Peel order as ((minimal root, filter mask), ...) or None.
 
@@ -92,20 +93,14 @@ def _peel_search(system: RootSystem, mask: int) -> Optional[tuple[tuple[int, int
     """
     if mask == 0:
         return ()
-    memo = system._peel_memo
-    if mask in memo:
-        return memo[mask]
-    result = None
     for m in (p for p in system.simple_positions if mask >> p & 1):
         fmask = mask & system.up_masks[m]
         if not system.is_chain_mask(fmask):
             continue
         rest = _peel_search(system, mask & ~fmask)
         if rest is not None:
-            result = ((m, fmask),) + rest
-            break
-    memo[mask] = result
-    return result
+            return ((m, fmask),) + rest
+    return None
 
 
 def chain_peeling(ideal: Ideal) -> Optional[PartitionCertificate]:
@@ -159,6 +154,7 @@ def _arr(system: RootSystem, mask: int) -> Arrangement:
     return Arrangement(system, _bits(mask))
 
 
+@_memoized
 def _generic_search(
     system: RootSystem, mask: int, rank: int, flats: Sequence[Flat]
 ) -> Optional[tuple[int, ...]]:
@@ -167,14 +163,10 @@ def _generic_search(
     ``flats`` holds every flat on ``mask``, maybe more, in (rank, members)
     order.  The flats of a matroid restricted to a flat X are its flats
     inside X, so a coatom's search reads the same list; it builds nothing.
+    So ``rank`` and the flats the search reads are fixed by ``mask``.
     """
-    memo = system._generic_ss_memo
-    if mask in memo:
-        return memo[mask]
     if mask == 0:
-        memo[mask] = ()
         return ()
-    result = None
     for f in flats:
         if f.rank != rank - 1 or f.members & ~mask:
             continue
@@ -188,10 +180,8 @@ def _generic_search(
             continue
         sub = _generic_search(system, f.members, rank - 1, flats)
         if sub is not None:
-            result = sub + (pi,)
-            break
-    memo[mask] = result
-    return result
+            return sub + (pi,)
+    return None
 
 
 def is_supersolvable_generic(arr: Arrangement) -> Optional[PartitionCertificate]:
@@ -227,7 +217,7 @@ def validate_supersolving(system: RootSystem, blocks: Sequence[Sequence[int]]) -
         if not bmask:
             return False
         stage |= bmask
-        if _arr(system, stage).rank() != i:
+        if len(_echelon(system.coords[x] for x in _bits(stage))) != i:
             return False
         members = list(_bits(bmask))
         for a in range(len(members)):
@@ -241,29 +231,20 @@ def validate_supersolving(system: RootSystem, blocks: Sequence[Sequence[int]]) -
 # -- root-ideal supersolvability fast path ------------------------------------
 
 
+@_memoized
 def _rootideal_search(
-    table: RootSystem | SubsystemView, mask: int
-) -> Optional[tuple[tuple[tuple[int, ...], tuple], ...]]:
-    """Blocks with meta, bottom-up, or None."""
-    if mask == 0:
-        return ()
-    memo = table._ss_memo
-    if mask not in memo:
-        memo[mask] = _rootideal_top(table, mask)
-    return memo[mask]
-
-
-def _rootideal_top(
     table: RootSystem | SubsystemView, mask: int
 ) -> Optional[tuple[tuple[tuple[int, ...], tuple], ...]]:
     """Blocks with meta, bottom-up, for the first top block that works.
 
-    ``mask`` is a nonempty ideal of ``table``, which may lack simple roots.
+    ``mask`` is an ideal of ``table``, which may lack simple roots.
     None when no candidate top block leads to a supersolving partition.
     The order comes from the base system, which a view's order agrees with
     (see ``SubsystemView``).  Pair blocks come from ``table.bonds``, and
     the remainder ``mask & keep`` is searched in the view of that bond.
     """
+    if mask == 0:
+        return ()
     base = table.base
     # Case (a): the filter of a simple root in the ideal, if it is a chain.
     for pos in (p for p in table.simple_positions if mask >> p & 1):

@@ -222,8 +222,8 @@ class SubsystemView:
     of base roots, under their base indices.  ``simple_positions`` is delta,
     sorted; axis k of the chart is root ``simple_positions[k]``.  ``coords``
     maps each root's base index to its coordinates over delta,
-    ``full_mask`` is the mask of the view's roots, and ``bonds`` are its
-    bonded pairs, as for a :class:`RootSystem`.
+    ``full_mask`` is the mask of the view's roots, ``bonds`` are its bonded
+    pairs and ``_memos`` its memos, as for a :class:`RootSystem`.
 
     The search reads filters, chains and downward closure off the base
     order, because a view's componentwise order is the base order on its
@@ -253,7 +253,7 @@ class SubsystemView:
         }
         self.full_mask = keep
         self.bonds = _bond_blocks(self.coords.items())
-        self._ss_memo: dict[int, object] = {}
+        self._memos: dict = {}
 
     def __repr__(self) -> str:
         delta = ",".join(format_root(self.base, i) for i in self.simple_positions)

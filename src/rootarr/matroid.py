@@ -44,7 +44,7 @@ smallest-first enumeration of all 2-closed subsets, with its own
 from-scratch 2-closure, is kept alongside as an independent oracle.
 
 The flatness test of a new state goes through a join memo on the system,
-``RootSystem._joins``, filled lazily by ``_join``.  Each state S is held
+kept in ``_memos``, filled lazily by ``_join``.  Each state S is held
 as its key alone: a mask of system roots that contains S and lies in
 span(S), so span(key) = span(S).  The entry ``(key, v) -> [covered, cls]``
 holds in ``covered`` the key, v and every root tested so far, and in
@@ -78,6 +78,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .rootsystem import RootSystem, _bits, _echelon, _mask_of, _reduce, reflect
+from .rootsystem import _memo_table, _memoized
 
 
 @dataclass(frozen=True)
@@ -99,37 +100,30 @@ class Arrangement:
     """A set of pairwise non-parallel root vectors with matroid operations.
 
     ``ground`` holds root indices of the ambient system.  Distinct positive
-    roots are never parallel, so any subset of them qualifies.  Instances
-    are immutable apart from memo caches, which never change a result: the
-    rank, lines, flats and characteristic polynomial are memoized lazily and
-    live as long as the instance, which nothing in the package keeps.
+    roots are never parallel, so any subset of them qualifies; an index
+    outside the system raises ``ValueError``.  Immutable apart from
+    ``_memos`` (rank, lines, flats, characteristic polynomial), which die
+    with the instance; nothing in the package keeps one.
     """
 
     def __init__(self, system: RootSystem, ground: Iterable[int]):
         self.system = system
         self.ground = tuple(sorted(set(ground)))
+        for i in self.ground[:1] + self.ground[-1:]:  # sorted: the ends bound the rest
+            if not 0 <= i < system.nroots:
+                raise ValueError(f"root index {i} is outside {system!r}")
         self.ground_mask = _mask_of(self.ground)
-        self._flats: tuple[Flat, ...] | None = None
-        self._chi: tuple[int, ...] | None = None
-        self._rank: int | None = None
-        self._lines: tuple[int, ...] | None = None
+        self._memos: dict = {}
 
     # -- basics ---------------------------------------------------------
 
     def __len__(self) -> int:
         return len(self.ground)
 
-    def _vec(self, i: int) -> tuple[int, ...]:
-        return self.system.coords[i]
-
+    @_memoized
     def rank(self) -> int:
         """Dimension of the rational span of the ground set."""
-        if self._rank is None:
-            self._rank = len(_echelon(self._vec(i) for i in self.ground))
-        return self._rank
-
-    def _pair_mask(self, i: int, j: int) -> int:
-        return self.system.pair_span_mask(i, j) & self.ground_mask
+        return len(_echelon(self.system.coords[i] for i in self.ground))
 
     def two_flats(self) -> list[Flat]:
         """All rank-2 flats: deduplicated closures of ground pairs."""
@@ -137,8 +131,13 @@ class Arrangement:
         g = self.ground
         for a in range(len(g)):
             for b in range(a + 1, len(g)):
-                masks.add(self._pair_mask(g[a], g[b]))
+                masks.add(self.system.pair_span_mask(g[a], g[b]) & self.ground_mask)
         return [Flat(m, 2) for m in sorted(masks)]
+
+    @_memoized
+    def _long_lines(self) -> tuple[int, ...]:
+        """The lines of three or more roots, as masks."""
+        return tuple(f.members for f in self.two_flats() if f.members.bit_count() > 2)
 
     # -- 2-closure and line-closedness -------------------------------------
 
@@ -152,16 +151,7 @@ class Arrangement:
         roots are never parallel.  Lines of two roots add nothing and are
         not swept.
         """
-        if self._lines is None:
-            self._lines = tuple(f.members for f in self.two_flats() if f.members.bit_count() > 2)
-        out, grew = mask, True
-        while grew:
-            grew = False
-            for line in self._lines:
-                if line & ~out and (line & out).bit_count() > 1:
-                    out |= line
-                    grew = True
-        return out
+        return _sweep_lines(self._long_lines(), mask)
 
     def is_line_closed(self) -> tuple[bool, frozenset[int] | None]:
         """Decide line-closedness; on failure also return a witness.
@@ -191,17 +181,13 @@ class Arrangement:
         if r < 3:
             return True, None
         system, g, gm = self.system, self.ground, self.ground_mask
-        pair: list[list[int]] = [[] for _ in range(system.nroots)]
-        for i in g:
-            row = pair[i] = [0] * system.nroots
-            for j in g:
-                if j != i:
-                    row[j] = self._pair_mask(i, j)
+        pair = [[0] * system.nroots if gm >> i & 1 else [] for i in range(system.nroots)]
         level: dict[int, int] = {}
         for a, i in enumerate(g):
             for j in g[a + 1 :]:
-                if pair[i][j] not in level:
-                    level[pair[i][j]] = system.pair_span_mask(i, j)
+                span = system.pair_span_mask(i, j)
+                pair[i][j] = pair[j][i] = span & gm
+                level.setdefault(span & gm, span)
         for _ in range(3, r + 1):
             nxt: dict[int, int] = {}
             for state in sorted(level):
@@ -227,7 +213,7 @@ class Arrangement:
         Grows 2-closures element by element with deduplication; intended
         for cross-checks.
         """
-        seen = {0}
+        seen, lines = {0}, self._long_lines()
         heap: list[tuple[int, int]] = [(0, 0)]
         while heap:
             size, mask = heapq.heappop(heap)
@@ -235,18 +221,16 @@ class Arrangement:
             for i in self.ground:
                 if mask >> i & 1:
                     continue
-                nxt = self.two_closure_mask(mask | 1 << i)
+                nxt = _sweep_lines(lines, mask | 1 << i)
                 if nxt not in seen:
                     seen.add(nxt)
                     heapq.heappush(heap, (nxt.bit_count(), nxt))
 
     def is_flat_mask(self, mask: int) -> bool:
-        members = list(_bits(mask))
-        rows = _echelon(self._vec(i) for i in members)
+        coords = self.system.coords
+        rows = _echelon(coords[i] for i in _bits(mask))
         for q in self.ground:
-            if mask >> q & 1:
-                continue
-            if not any(_reduce(rows, self._vec(q))):
+            if not mask >> q & 1 and not any(_reduce(rows, coords[q])):
                 return False
         return True
 
@@ -259,6 +243,7 @@ class Arrangement:
 
     # -- flats and the characteristic polynomial ---------------------------
 
+    @_memoized
     def flats(self) -> tuple[Flat, ...]:
         """Every flat of the arrangement, ordered by (rank, members).
 
@@ -271,15 +256,12 @@ class Arrangement:
         would come before F0; so rank(F0) = rank(m), and no trace is
         eliminated.
         """
-        if self._flats is None:
-            derived: dict[int, int] = {}
-            for fm, r in _system_flats(self.system):
-                derived.setdefault(fm & self.ground_mask, r)
-            self._flats = tuple(
-                Flat(m, r) for m, r in sorted(derived.items(), key=lambda kv: (kv[1], kv[0]))
-            )
-        return self._flats
+        derived: dict[int, int] = {}
+        for fm, r in _system_flats(self.system):
+            derived.setdefault(fm & self.ground_mask, r)
+        return tuple(Flat(m, r) for m, r in sorted(derived.items(), key=lambda kv: (kv[1], kv[0])))
 
+    @_memoized
     def characteristic_polynomial(self) -> tuple[int, ...]:
         """Coefficients of the characteristic polynomial, ascending degree.
 
@@ -288,22 +270,31 @@ class Arrangement:
         For a supersolvable arrangement this factors as the product of
         (t - block size) over any supersolving partition.
         """
-        if self._chi is None:
-            flats = self.flats()
-            r = self.rank()
-            mu: dict[int, int] = {}
-            chi = [0] * (r + 1)
-            for f in flats:  # increasing rank, so all proper subflats done
-                m = -sum(v for g, v in mu.items() if g & f.members == g and g != f.members)
-                if not mu:
-                    m = 1  # the empty flat
-                mu[f.members] = m
-                chi[r - f.rank] += m
-            self._chi = tuple(chi)
-        return self._chi
+        r = self.rank()
+        mu: dict[int, int] = {}
+        chi = [0] * (r + 1)
+        for f in self.flats():  # increasing rank, so all proper subflats done
+            m = -sum(v for g, v in mu.items() if g & f.members == g and g != f.members)
+            if not mu:
+                m = 1  # the empty flat
+            mu[f.members] = m
+            chi[r - f.rank] += m
+        return tuple(chi)
 
     def __repr__(self) -> str:
         return f"Arrangement({self.system.label}, {len(self.ground)} vectors)"
+
+
+def _sweep_lines(lines: tuple[int, ...], mask: int) -> int:
+    """``Arrangement.two_closure_mask`` of ``mask``, given the arrangement's lines."""
+    out, grew = mask, True
+    while grew:
+        grew = False
+        for line in lines:
+            if line & ~out and (line & out).bit_count() > 1:
+                out |= line
+                grew = True
+    return out
 
 
 def _grow_two_closure(
@@ -342,17 +333,18 @@ def _grow_two_closure(
 def _join(system: RootSystem, key: int, v: int, need: int, grown: int) -> int:
     """``cls`` of the join memo entry (key, v), once it covers ``need``.
 
-    Reads and fills ``system._joins[(key, v)] = [covered, cls]``, where
-    ``covered`` holds key, v and every root tested so far, and ``cls``
-    those of them outside key that lie in span(key + v).  Only the roots
-    of ``need`` not yet covered are tested, against echelon rows of
-    key + v built for them, so a repeated call does no elimination.  The
-    roots of ``grown``, a 2-closure of a subset of key plus v and hence
-    inside that span, enter ``cls`` untested.
+    Reads and fills entry ``(key, v) -> [covered, cls]`` of its table in
+    ``system._memos``, where ``covered`` holds key, v and every root tested
+    so far, and ``cls`` those of them outside key that lie in
+    span(key + v).  Only the roots of ``need`` not yet covered are tested,
+    against echelon rows of key + v built for them, so a repeated call
+    does no elimination.  The roots of ``grown``, a 2-closure of a subset
+    of key plus v and hence inside that span, enter ``cls`` untested.
     """
-    entry = system._joins.get((key, v))
+    joins = _memo_table(system, _join)
+    entry = joins.get((key, v))
     if entry is None:
-        entry = system._joins[(key, v)] = [key | 1 << v, 1 << v]
+        entry = joins[(key, v)] = [key | 1 << v, 1 << v]
     todo = need & ~entry[0]
     if todo:
         entry[0] |= todo
@@ -366,8 +358,9 @@ def _join(system: RootSystem, key: int, v: int, need: int, grown: int) -> int:
     return entry[1]
 
 
+@_memoized
 def _system_flats(system: RootSystem) -> tuple[tuple[int, int], ...]:
-    """All flats (mask, rank) of the full positive system, cached on it.
+    """All flats (mask, rank) of the full positive system, memoized on it.
 
     The flats are the W-orbits of the standard parabolic flats.  For each
     subset J of the simple roots, the positive roots whose support lies in
@@ -385,8 +378,6 @@ def _system_flats(system: RootSystem) -> tuple[tuple[int, int], ...]:
     The bits the reflection fixes are copied unchanged, and only the moved
     bits of a mask are looked up, lowest set bit first.
     """
-    if system._full_flats is not None:
-        return system._full_flats
     n = system.nroots
     gens = []
     for a in system.simple_positions:
@@ -412,5 +403,4 @@ def _system_flats(system: RootSystem) -> tuple[tuple[int, int], ...]:
                 if image not in seen:
                     seen[image] = rank
                     orbit.append(image)
-    system._full_flats = tuple(sorted(seen.items(), key=lambda t: (t[1], t[0])))
-    return system._full_flats
+    return tuple(sorted(seen.items(), key=lambda t: (t[1], t[0])))

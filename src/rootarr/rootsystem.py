@@ -41,6 +41,7 @@ exceeds 9 (not reachable for the supported types, but guarded).
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass
@@ -205,6 +206,32 @@ def _mask_of(indices: Iterable[int]) -> int:
     return mask
 
 
+def _memo_table(owner, fn) -> dict:
+    """``fn``'s memo on ``owner``, in ``owner._memos``; it dies with the owner."""
+    return owner._memos.setdefault(fn, {})
+
+
+def _memoized(fn):
+    """Memoize ``fn(owner, key, *rest)`` on ``key`` in its ``_memo_table``.
+
+    ``key`` is the first argument after the owner, or None when there is
+    none.  The one condition: ``rest`` must be fixed by the key and the
+    owner, as a later call with the same key gets the first call's result.
+    The table is keyed by the decorated function, which pickles by name.
+    """
+
+    @functools.wraps(fn)
+    def call(owner, *args):
+        key = args[0] if args else None
+        table = owner._memos.get(call) or _memo_table(owner, call)
+        value = table.get(key, call)  # no result is the wrapper itself
+        if value is call:
+            value = table[key] = fn(owner, *args)
+        return value
+
+    return call
+
+
 def _bond_blocks(roots: Iterable[tuple[int, tuple[int, ...]]]) -> tuple[tuple, ...]:
     """Sorted ``(k1, k2, a, b, bond, keep)``, one per root supported on two axes.
 
@@ -232,14 +259,9 @@ class RootSystem:
     Holds the positive roots as coordinate vectors over the simple roots,
     plus the componentwise order, heights, covers, and the bitmask helpers
     every other module builds on; ``bonds`` holds the bonded pairs and their
-    blocks (:func:`_bond_blocks`).  Immutable after construction, apart from
-    per-process memo caches, which never change a result; safe to share
-    across workers.  The memos hold the pair spans (``_pair_span``), the
-    line-closedness walk's joins (``_joins``, see ``matroid``), the
-    system flat lattice (``_full_flats``) and the three searches' verdicts
-    per ideal mask (``_peel_memo``, ``_ss_memo``, ``_generic_ss_memo``); a
-    subsystem view (see ``ideals``) holds its own ``_ss_memo``.  Use
-    :func:`build_root_system` to construct one.
+    blocks (:func:`_bond_blocks`).  Immutable after construction apart from
+    ``_memos`` (see :func:`_memoized`), and safe to share across workers.
+    Use :func:`build_root_system` to construct one.
     """
 
     def __init__(self, label: TypeLabel):
@@ -259,14 +281,7 @@ class RootSystem:
             tuple(j for j in range(self.rank) if j != i and self.cartan[i][j] != 0)
             for i in range(self.rank)
         )
-        self._pair_span: dict[tuple[int, int], int] = {}
-        # Filled by matroid._join: (key, v) -> [covered, cls].
-        self._joins: dict[tuple[int, int], list[int]] = {}
-        # Filled by matroid._system_flats and the three searches in classify.
-        self._full_flats: tuple[tuple[int, int], ...] | None = None
-        self._peel_memo: dict[int, object] = {}
-        self._ss_memo: dict[int, object] = {}
-        self._generic_ss_memo: dict[int, object] = {}
+        self._memos: dict = {}
 
     # -- construction ----------------------------------------------------
 
@@ -415,16 +430,17 @@ class RootSystem:
             i, j = j, i
         if i == j:
             raise ValueError("pair span needs two distinct roots")
-        key = (i, j)
-        got = self._pair_span.get(key)
-        if got is not None:
-            return got
-        mask = _span_mask(_echelon((self.coords[i], self.coords[j])), self.coords)
-        self._pair_span[key] = mask
-        return mask
+        return _pair_plane(self, (i, j))
 
     def __repr__(self) -> str:
         return f"RootSystem({self.label}, {self.nroots} positive roots)"
+
+
+@_memoized
+def _pair_plane(system: RootSystem, pair: tuple[int, int]) -> int:
+    """``pair_span_mask`` of an ordered pair of distinct roots."""
+    i, j = pair
+    return _span_mask(_echelon((system.coords[i], system.coords[j])), system.coords)
 
 
 def build_root_system(label: TypeLabel | str) -> RootSystem:

@@ -357,6 +357,17 @@ def test_no_arrangement_outlives_classification(label, monkeypatch):
     assert len(built) == len(ideals)  # one per ideal; coatoms reuse its flats
 
 
+@pytest.mark.parametrize("label", ["D4", "F4", "B4", "D5"])
+def test_memo_history_never_changes_a_record(label):
+    # a fresh system classifies largest first, so every search meets its
+    # memos filled in the opposite order to classify_type's smallest first
+    rs, shared = build_root_system(label), get_system(label)
+    ideals = sorted(enumerate_ideals(rs), key=lambda i: (-i.size, i.mask))
+    got = {ideal.mask: classify_ideal(ideal).to_dict(rs) for ideal in ideals}
+    want = [record.to_dict(shared) for record in classify_type(label)]
+    assert [got[ideal.mask] for ideal in enumerate_ideals(shared)] == want
+
+
 def test_classify_rejects_view_ideals():
     rs = get_system("A3")
     rest = rs.full_mask & ~pair_block(rs, rs.full_mask, 0, 1, 1, 1)

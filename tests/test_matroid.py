@@ -17,7 +17,9 @@ identities checked with direct vector arithmetic.
 
 from __future__ import annotations
 
+import gc
 import random
+import weakref
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
@@ -27,8 +29,8 @@ from hypothesis import given, settings, strategies as st
 
 from rootarr import Arrangement, Flat, Ideal, build_root_system, enumerate_ideals, matroid, parse_root
 from rootarr.ideals import f4_height4_mask
-from rootarr.matroid import _grow_two_closure, _system_flats
-from rootarr.rootsystem import _bits, _echelon, _mask_of, _reduce, _span_mask, reflect
+from rootarr.matroid import _grow_two_closure, _join, _system_flats
+from rootarr.rootsystem import _bits, _echelon, _mask_of, _memo_table, _reduce, _span_mask, reflect
 from rootarr.suites import poly_from_block_sizes
 from conftest import get_system
 
@@ -280,6 +282,24 @@ def test_rank_examples():
     f4 = get_system("F4")
     ihat = Ideal(f4, f4_height4_mask(f4))
     assert Arrangement(f4, ihat.members()).rank() == 4
+
+
+@pytest.mark.parametrize("index", [12, 40, -1])
+def test_arrangement_rejects_indices_outside_the_system(index):
+    rs = get_system("D4")  # 12 roots
+    with pytest.raises(ValueError, match=f"root index {index} "):
+        Arrangement(rs, [0, 3, index])
+
+
+def test_arrangement_memos_die_with_it():
+    rs = get_system("D4")
+    arr = Arrangement(rs, star_ideal(rs).members())
+    assert arr.flats() and arr.rank() == 4 and not arr.is_line_closed()[0]
+    assert arr.two_closure_mask(1) == 1 and arr.characteristic_polynomial()
+    ref = weakref.ref(arr)
+    del arr
+    gc.collect()
+    assert ref() is None
 
 
 @pytest.mark.parametrize("label", ["A3", "B3", "D4"])
@@ -563,7 +583,7 @@ def test_join_memo_never_changes_a_walk(label):
     fresh = [Arrangement(build_root_system(label), g).is_line_closed() for g in grounds]
     assert forward == backward[::-1] == fresh
     assert forward == [walk_without_skip(Arrangement(shared, g)) for g in grounds]
-    assert shared._joins and reverse._joins
+    assert _memo_table(shared, _join) and _memo_table(reverse, _join)
 
 
 @pytest.mark.parametrize("label", ["D5", "F4"])
@@ -574,8 +594,9 @@ def test_join_memo_entries_hold_from_scratch(label):
     rs = build_root_system(label)
     for ideal in enumerate_ideals(rs):
         Arrangement(rs, ideal.members()).is_line_closed()
-    assert rs._joins
-    for (key, v), (covered, cls) in rs._joins.items():
+    joins = _memo_table(rs, _join)
+    assert joins
+    for (key, v), (covered, cls) in joins.items():
         assert key & 1 << v == 0 and covered & key == key
         assert cls >> v & 1 and cls & ~(covered & ~key) == 0
         rank = frac_rank_of_mask(label, key | 1 << v)

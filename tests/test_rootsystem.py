@@ -9,6 +9,7 @@ roots for the order masks and covers.
 
 from __future__ import annotations
 
+import pickle
 from fractions import Fraction
 from itertools import combinations
 
@@ -24,7 +25,7 @@ from rootarr import (
     reflect,
 )
 from rootarr.ideals import restrict_mask
-from rootarr.rootsystem import build_root_system
+from rootarr.rootsystem import _memoized, build_root_system
 from conftest import get_system
 
 ALL_TYPES = (
@@ -340,6 +341,41 @@ def test_rank2_subsystem_rejects_equal_roots():
     rs = get_system("A2")
     with pytest.raises(ValueError):
         rs.pair_span_mask(1, 1)
+
+
+class MemoOwner:
+    def __init__(self):
+        self._memos = {}
+        self.calls = []
+
+    @_memoized
+    def keyed(self, key, rest):
+        self.calls.append((key, rest))
+        return None if key is None else (key, rest)
+
+    @_memoized
+    def whole(self):
+        self.calls.append("whole")
+        return len(self.calls)
+
+
+def test_memoized_keys_only_on_the_first_argument():
+    owner, other = MemoOwner(), MemoOwner()
+    assert owner.keyed(1, "a") == owner.keyed(1, "b") == (1, "a")
+    assert owner.keyed(2, "b") == (2, "b")
+    assert owner.keyed(None, "a") is None and owner.keyed(None, "b") is None
+    assert owner.calls == [(1, "a"), (2, "b"), (None, "a")]
+    assert other.keyed(1, "c") == (1, "c")  # each owner has its own memo
+    assert owner.whole() == owner.whole() == 4
+    assert owner.keyed.__name__ == "keyed"
+
+
+def test_a_system_pickles_with_its_memos():
+    rs = build_root_system("D4")
+    records = [classify.classify_ideal(ideal).to_dict(rs) for ideal in enumerate_ideals(rs)]
+    copy = pickle.loads(pickle.dumps(rs))
+    assert copy._memos.keys() == rs._memos.keys() and len(copy._memos) > 3
+    assert [classify.classify_ideal(i).to_dict(copy) for i in enumerate_ideals(copy)] == records
 
 
 @pytest.mark.parametrize("label", RANK4_TYPES)
