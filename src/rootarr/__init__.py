@@ -17,9 +17,8 @@ from .rootsystem import (
 from .ideals import (
     BadIdealWitness,
     Ideal,
-    contains_f4_bad_ideal,
+    bad_ideals,
     enumerate_ideals,
-    find_star_ideal,
 )
 from .matroid import Arrangement, Flat
 from .classify import (
@@ -47,8 +46,7 @@ __all__ = [
     "Ideal",
     "BadIdealWitness",
     "enumerate_ideals",
-    "find_star_ideal",
-    "contains_f4_bad_ideal",
+    "bad_ideals",
     "Arrangement",
     "Flat",
     "PartitionCertificate",

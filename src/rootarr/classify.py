@@ -12,7 +12,8 @@ Four predicates are computed independently for every ideal and must agree:
   latter;
 * line-closedness of the arrangement;
 * absence of the two minimal obstructions (star configuration / the F4
-  height<=4 ideal).
+  height<=4 ideal): one scan of the system's ``ideals.bad_ideals`` table,
+  which reads neither the order masks nor the chain test.
 
 Any disagreement raises :class:`EquivalenceViolation`; it signals an
 implementation bug and is never swallowed.  The Koszul verdict of a record
@@ -27,15 +28,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .rootsystem import RootSystem, _bits, _echelon, _memoized, format_root
-from .ideals import (
-    Ideal,
-    SubsystemView,
-    contains_f4_bad_ideal,
-    f4_bad_witness,
-    find_star_ideal,
-    restrict_mask,
-    BadIdealWitness,
-)
+from .ideals import BadIdealWitness, Ideal, SubsystemView, bad_ideals, restrict_mask
 from .matroid import Arrangement, Flat
 
 
@@ -363,12 +356,8 @@ class ClassificationRecord:
 
 
 def _bad_ideal(ideal: Ideal) -> Optional[BadIdealWitness]:
-    system = ideal.system
-    if system.lacing == 1:
-        return find_star_ideal(ideal)
-    if str(system.label) == "F4" and contains_f4_bad_ideal(ideal):
-        return f4_bad_witness(system)
-    return None  # B/C/G carry no obstruction
+    """The witness of the first of the system's bad ideals inside ``ideal``."""
+    return next((w for m, w in bad_ideals(ideal.system) if ideal.mask & m == m), None)
 
 
 def _classify_command(ideal: Ideal) -> str:

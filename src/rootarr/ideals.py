@@ -2,12 +2,14 @@
 
 An ideal is a downward-closed set of positive roots, stored as a bitmask
 over root indices.  This module enumerates all ideals of a system,
-restricts ideals into root subsystems, and detects the two minimal
-obstructions: the star configuration around a degree-3 Dynkin node, and
-the F4 ideal of all roots of height at most four.  The search's candidate
-top blocks need no code here: the filter of the simple root at position p
-is ``mask & system.up_masks[p]``, and a bonded-pair complement block is
-``mask & ~keep`` for an entry of ``table.bonds``.
+restricts ideals into root subsystems, and lists each system's minimal bad
+ideals once, as :func:`bad_ideals`: the star configuration around a
+degree-3 Dynkin node, and the F4 ideal of all roots of height at most
+four.  An ideal is bad iff its mask contains one of them, a test that
+reads no order mask.  The search's candidate top blocks need no code here:
+the filter of the simple root at position p is ``mask & system.up_masks[p]``,
+and a bonded-pair complement block is ``mask & ~keep`` for an entry of
+``table.bonds``.
 
 A root subsystem is a :class:`SubsystemView`: a coordinate chart on its
 base system that keeps the base's root indices, so a mask means the same
@@ -18,7 +20,6 @@ with the two axes of a bonded pair merged into one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterator, Sequence
 
 from .rootsystem import (
@@ -26,6 +27,7 @@ from .rootsystem import (
     _bits,
     _bond_blocks,
     _mask_of,
+    _memoized,
     format_root,
     parse_root,
 )
@@ -138,12 +140,13 @@ def enumerate_ideals(rs: RootSystem) -> Iterator[Ideal]:
 
 @dataclass(frozen=True)
 class BadIdealWitness:
-    """Witness for one of the two minimal non-supersolvable configurations.
+    """Witness for one of the two minimal non-supersolvable ideals.
 
-    ``kind`` is "star" (three height-3 roots around a degree-3 Dynkin node)
-    or "f4" (the full height<=4 ideal of F4).  ``simple_roots`` are the root
-    indices of the participating simple roots; ``generators`` the three
-    witnessing roots.
+    ``kind`` is "star" (the three height-3 roots around a degree-3 Dynkin
+    node) or "f4" (the height<=4 ideal of F4).  ``simple_roots`` are the
+    root indices of the participating simple roots, the centre second for
+    a star; ``generators`` are the three maximal roots of the bad ideal.
+    One entry of :func:`bad_ideals`.
     """
 
     kind: str
@@ -151,68 +154,37 @@ class BadIdealWitness:
     generators: tuple[int, ...]
 
 
-def find_star_ideal(ideal: Ideal) -> BadIdealWitness | None:
-    """Find a star configuration: a degree-3 node whose three 'centre plus
-    two arms' height-3 roots all belong to the ideal.
+@_memoized
+def bad_ideals(system: RootSystem) -> tuple[tuple[int, BadIdealWitness], ...]:
+    """The system's minimal bad ideals, as ``(mask, witness)`` pairs.
 
-    Only meaningful for simply laced systems; returns None for multiply
-    laced ones (F4 has no degree-3 node anyway, and B/C/G ideals carry no
-    obstruction at all).
+    An ideal is bad iff it contains one of these masks, and the first such
+    pair names its witness.  A star sits at each Dynkin node of degree 3,
+    which only D and E have: its mask holds the three roots that are the
+    centre plus two of its arms, all coordinates 1, with arms in index
+    order.  In a simply laced system a 0/1 vector supported on a Dynkin
+    path is a root, so all three exist.  F4 has one entry, the 13 roots of
+    height at most four, generated by its three height-4 roots.  Types A,
+    B, C and G have none.
     """
-    rs = ideal.system
-    if rs.lacing != 1:
-        return None
-    n = rs.rank
+    n = system.rank
+    found = []
     for centre in range(n):
-        arms = rs.dynkin_neighbours(centre)
-        if len(arms) < 3:
+        arms = system.dynkin_neighbours(centre)
+        if len(arms) != 3:
             continue
-        # No crystallographic diagram has degree > 3, but stay general.
-        for trio in combinations(sorted(arms), 3):
-            gens = []
-            for left, right in ((trio[0], trio[1]), (trio[0], trio[2]), (trio[1], trio[2])):
-                v = tuple(
-                    1 if k in (left, centre, right) else 0 for k in range(n)
-                )
-                idx = rs.index_of.get(v)
-                if idx is None or idx not in ideal:
-                    gens = None
-                    break
-                gens.append(idx)
-            if gens is not None:
-                simples = (
-                    rs.simple_positions[trio[0]],
-                    rs.simple_positions[centre],
-                    rs.simple_positions[trio[1]],
-                    rs.simple_positions[trio[2]],
-                )
-                return BadIdealWitness("star", simples, tuple(gens))
-    return None
-
-
-def f4_height4_mask(rs: RootSystem) -> int:
-    """Mask of the 13 F4 roots of height at most four."""
-    if str(rs.label) != "F4":
-        raise ValueError("only defined for F4")
-    return sum(1 << i for i, h in enumerate(rs.heights) if h <= 4)
-
-
-def contains_f4_bad_ideal(ideal: Ideal) -> bool:
-    """Whether the ideal contains all 13 F4 roots of height at most four.
-
-    False for every non-F4 system.
-    """
-    rs = ideal.system
-    if str(rs.label) != "F4":
-        return False
-    bad = f4_height4_mask(rs)
-    return ideal.mask & bad == bad
-
-
-def f4_bad_witness(rs: RootSystem) -> BadIdealWitness:
-    """The F4 witness: all four simple roots plus the three height-4 roots."""
-    gens = tuple(i for i, h in enumerate(rs.heights) if h == 4)
-    return BadIdealWitness("f4", rs.simple_positions, gens)
+        a, b, c = arms
+        gens = tuple(
+            system.index_of[tuple(int(k == centre or k in pair) for k in range(n))]
+            for pair in ((a, b), (a, c), (b, c))
+        )
+        simples = tuple(system.simple_positions[k] for k in (a, centre, b, c))
+        found.append((_mask_of(gens), BadIdealWitness("star", simples, gens)))
+    if str(system.label) == "F4":
+        mask = _mask_of(i for i, h in enumerate(system.heights) if h <= 4)
+        gens = tuple(i for i, h in enumerate(system.heights) if h == 4)
+        found.append((mask, BadIdealWitness("f4", system.simple_positions, gens)))
+    return tuple(found)
 
 
 class SubsystemView:

@@ -22,9 +22,8 @@ from rootarr import (
     is_supersolvable_rootideal,
     parse_root,
 )
-from rootarr.ideals import f4_height4_mask
 from rootarr.suites import poly_from_block_sizes
-from conftest import classify_type, get_system
+from conftest import classify_type, f4_height4_mask, get_system
 from test_ideals import g_set_mask
 from test_matroid import closure, two_closure
 

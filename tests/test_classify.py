@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import gc
+from itertools import combinations
 
 import pytest
 
 from rootarr import (
     Arrangement,
+    EquivalenceViolation,
     Ideal,
+    bad_ideals,
     chain_peeling,
     classify,
     classify_ideal,
@@ -19,11 +22,16 @@ from rootarr import (
     is_supersolvable_rootideal,
     parse_root,
 )
-from rootarr.classify import PartitionCertificate, validate_chain_peeling, validate_supersolving
-from rootarr.ideals import f4_height4_mask, find_star_ideal, restrict_mask
-from rootarr.rootsystem import build_root_system
+from rootarr.classify import (
+    PartitionCertificate,
+    _bad_ideal,
+    validate_chain_peeling,
+    validate_supersolving,
+)
+from rootarr.ideals import restrict_mask
+from rootarr.rootsystem import _mask_of, _memo_table, _pair_plane, build_root_system
 from rootarr.suites import poly_from_block_sizes
-from conftest import classify_type, get_system
+from conftest import classify_type, f4_height4_mask, get_system
 from test_ideals import bond_block, pair_block
 from test_matroid import closure
 
@@ -124,9 +132,9 @@ def test_supersolvability_is_closed_under_subideals(label):
         elif all(subs):
             minimal.append(mask)
     if label in ("D4", "D5", "E6"):
-        star = find_star_ideal(Ideal(rs, rs.full_mask))
+        star = _bad_ideal(Ideal(rs, rs.full_mask))
         expected = [Ideal.from_generators(rs, star.generators).mask]
-        assert find_star_ideal(Ideal(rs, expected[0])) is not None
+        assert _bad_ideal(Ideal(rs, expected[0])) is not None
         assert expected[0].bit_count() == 10
     elif label == "F4":
         expected = [f4_height4_mask(rs)]
@@ -394,3 +402,41 @@ def test_exponent_multisets_agree_between_certificates():
         for record in classify_type(label):
             if record.supersolvable:
                 assert record.peeling.block_sizes() == record.supersolving.block_sizes()
+
+
+# -- route independence ------------------------------------------------------------------
+
+
+def _install_planes(rs, mutate) -> None:
+    """Replace every memoized pair span of ``rs`` by ``mutate(pair, span)``."""
+    table = _memo_table(rs, _pair_plane)
+    for pair in combinations(range(rs.nroots), 2):
+        table[pair] = mutate(pair, _pair_plane(rs, pair))
+
+
+def _drop_long_line_tops(pair, span):
+    return span & ~(1 << span.bit_length() - 1) if span.bit_count() > 2 else span
+
+
+# Each installs a plausible bug in one kernel the routes share, on one system.
+KERNEL_MUTANTS = {
+    "chains-always": lambda rs: setattr(rs, "is_chain_mask", lambda mask: True),
+    "chains-never": lambda rs: setattr(rs, "is_chain_mask", lambda mask: False),
+    "long-line-tops-dropped": lambda rs: _install_planes(rs, _drop_long_line_tops),
+    "two-root-lines": lambda rs: _install_planes(rs, lambda pair, span: _mask_of(pair)),
+    "no-bad-ideals": lambda rs: _memo_table(rs, bad_ideals).update({None: ()}),
+}
+
+
+@pytest.mark.parametrize("mutant", KERNEL_MUTANTS)
+def test_a_shared_kernel_bug_breaks_equivalence(mutant):
+    # the mutant goes on fresh systems, so no cached memo hides it
+    for label in ["D4", "F4", "B4"]:
+        rs = build_root_system(label)
+        KERNEL_MUTANTS[mutant](rs)
+        for ideal in enumerate_ideals(rs):
+            try:
+                classify_ideal(ideal)
+            except EquivalenceViolation:
+                return
+    pytest.fail(f"no ideal of D4, F4 or B4 exposes the {mutant} mutant")

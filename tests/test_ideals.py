@@ -7,21 +7,23 @@ shares nothing with the library's enumerator beyond the root list.
 
 from __future__ import annotations
 
+from itertools import combinations
 from math import comb
 
 import pytest
 
 from rootarr import (
+    BadIdealWitness,
     Ideal,
-    contains_f4_bad_ideal,
+    bad_ideals,
     enumerate_ideals,
-    find_star_ideal,
     format_root,
     parse_root,
 )
-from rootarr.ideals import f4_height4_mask, restrict_mask
-from rootarr.rootsystem import _mask_of
-from conftest import get_system
+from rootarr.classify import _bad_ideal
+from rootarr.ideals import restrict_mask
+from rootarr.rootsystem import ADMISSIBLE_RANKS, _mask_of
+from conftest import f4_height4_mask, get_system
 from test_matroid import frac_rank
 from test_rootsystem import ALL_TYPES, bonded_pair_views
 
@@ -88,13 +90,10 @@ def w_catalan(label: str) -> int:
     return {"E6": 833, "E7": 4160, "E8": 25080, "F4": 105, "G2": 8}[label]
 
 
-@pytest.mark.parametrize(
-    "label",
-    [f"A{n}" for n in range(1, 8)]
-    + [f"{f}{n}" for f in "BC" for n in range(2, 7)]
-    + [f"D{n}" for n in range(4, 8)]
-    + ["E6", "E7", "E8", "F4", "G2"],
-)
+ADMISSIBLE_TYPES = [f"{f}{n}" for f, ranks in ADMISSIBLE_RANKS.items() for n in ranks]
+
+
+@pytest.mark.parametrize("label", ADMISSIBLE_TYPES)
 def test_ideal_count_is_the_w_catalan_number(label):
     rs = get_system(label)
     assert sum(1 for _ in enumerate_ideals(rs)) == w_catalan(label)
@@ -379,10 +378,68 @@ def test_restriction_view_coordinates_recombine(label):
 # -- bad ideals -----------------------------------------------------------------------
 
 
+def scan_bad_ideal(ideal: Ideal) -> BadIdealWitness | None:
+    """The bad-ideal scan from before ``bad_ideals``, kept as an oracle.
+
+    Dispatches on lacing and label, and rebuilds each star from
+    coordinates on every call.
+    """
+    rs = ideal.system
+    if rs.lacing == 1:
+        n = rs.rank
+        for centre in range(n):
+            arms = rs.dynkin_neighbours(centre)
+            if len(arms) < 3:
+                continue
+            for trio in combinations(sorted(arms), 3):
+                gens = []
+                for left, right in ((trio[0], trio[1]), (trio[0], trio[2]), (trio[1], trio[2])):
+                    v = tuple(1 if k in (left, centre, right) else 0 for k in range(n))
+                    idx = rs.index_of.get(v)
+                    if idx is None or idx not in ideal:
+                        gens = None
+                        break
+                    gens.append(idx)
+                if gens is not None:
+                    simples = tuple(rs.simple_positions[k] for k in (trio[0], centre, trio[1], trio[2]))
+                    return BadIdealWitness("star", simples, tuple(gens))
+        return None
+    if str(rs.label) == "F4":
+        bad = sum(1 << i for i, h in enumerate(rs.heights) if h <= 4)
+        if ideal.mask & bad == bad:
+            gens = tuple(i for i, h in enumerate(rs.heights) if h == 4)
+            return BadIdealWitness("f4", rs.simple_positions, gens)
+    return None
+
+
+@pytest.mark.parametrize(
+    "label", [t for t in ADMISSIBLE_TYPES if int(t[1:]) <= 7] + ["E8"]
+)
+def test_bad_ideal_table_agrees_with_the_scan(label):
+    rs = get_system(label)
+    for ideal in enumerate_ideals(rs):
+        assert _bad_ideal(ideal) == scan_bad_ideal(ideal), ideal.coordinate_strings()
+
+
+def test_bad_ideal_table_entries():
+    # one star per degree-3 node of D and E, one F4 entry, none elsewhere
+    for label in ADMISSIBLE_TYPES:
+        kinds = [w.kind for _, w in bad_ideals(get_system(label))]
+        if label[0] in "DE" and label != "D3":
+            assert kinds == ["star"], label
+        else:
+            assert kinds == (["f4"] if label == "F4" else []), label
+    rs = get_system("D5")
+    ((mask, w),) = bad_ideals(rs)
+    assert mask == _mask_of(w.generators)
+    assert all(rs.heights[g] == 3 for g in w.generators)
+    assert bad_ideals(rs) is bad_ideals(rs)  # memoized
+
+
 def test_star_ideal_d4_height3():
     rs = get_system("D4")
     ideal = Ideal.from_roots(rs, [i for i in range(rs.nroots) if rs.heights[i] <= 3])
-    w = find_star_ideal(ideal)
+    w = _bad_ideal(ideal)
     assert w is not None and w.kind == "star"
     assert format_root(rs, w.simple_roots[1]) == "0100"  # the branch node
     assert {format_root(rs, g) for g in w.generators} == {"1110", "1101", "0111"}
@@ -390,20 +447,20 @@ def test_star_ideal_d4_height3():
 
 def test_star_ideal_absent_cases():
     rs = get_system("D4")
-    assert find_star_ideal(Ideal.parse(rs, "1110,1101")) is None
+    assert _bad_ideal(Ideal.parse(rs, "1110,1101")) is None
     a4 = get_system("A4")
     for ideal in enumerate_ideals(a4):
-        assert find_star_ideal(ideal) is None  # no degree-3 node in type A
+        assert _bad_ideal(ideal) is None  # no degree-3 node in type A
     b3 = get_system("B3")
-    assert find_star_ideal(Ideal(b3, b3.full_mask)) is None  # multiply laced
+    assert _bad_ideal(Ideal(b3, b3.full_mask)) is None  # multiply laced
 
 
 def test_star_ideal_d5_and_e6():
     d5 = get_system("D5")
-    w = find_star_ideal(Ideal(d5, d5.full_mask))
+    w = _bad_ideal(Ideal(d5, d5.full_mask))
     assert w is not None
     e6 = get_system("E6")
-    w = find_star_ideal(Ideal(e6, e6.full_mask))
+    w = _bad_ideal(Ideal(e6, e6.full_mask))
     assert w is not None
 
 
@@ -411,12 +468,13 @@ def test_f4_bad_ideal_detection():
     rs = get_system("F4")
     ihat = Ideal(rs, f4_height4_mask(rs))
     assert ihat.size == 13
-    assert contains_f4_bad_ideal(ihat)
-    assert not contains_f4_bad_ideal(Ideal(rs, 0))
+    assert ihat.mask == _mask_of(i for i, h in enumerate(rs.heights) if h <= 4)
+    assert _bad_ideal(ihat).kind == "f4"
+    assert _bad_ideal(Ideal(rs, 0)) is None
     eta1 = parse_root(rs, "1210")
     without = Ideal(rs, rs.full_mask & ~rs.up_masks[eta1])
-    assert not contains_f4_bad_ideal(without)
-    assert not contains_f4_bad_ideal(Ideal(get_system("D4"), 0))
+    assert _bad_ideal(without) is None
+    assert _bad_ideal(Ideal(get_system("D4"), 0)) is None
 
 
 def test_f4_bad_ideal_generated_by_etas():
@@ -459,5 +517,5 @@ def test_starfree_ideals_contain_only_path_roots(label):
     # path roots
     rs = get_system(label)
     for ideal in enumerate_ideals(rs):
-        if find_star_ideal(ideal) is None:
+        if _bad_ideal(ideal) is None:
             assert all(is_path_root(rs, i) for i in ideal.members())

@@ -28,11 +28,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rootarr import Arrangement, Flat, Ideal, build_root_system, enumerate_ideals, matroid, parse_root
-from rootarr.ideals import f4_height4_mask
 from rootarr.matroid import _grow_two_closure, _join, _system_flats
 from rootarr.rootsystem import _bits, _echelon, _mask_of, _memo_table, _reduce, _span_mask, reflect
 from rootarr.suites import poly_from_block_sizes
-from conftest import get_system
+from conftest import f4_height4_mask, get_system
 
 
 def frac_rank(vectors) -> int:
