@@ -20,7 +20,7 @@ from .ideals import (
     bad_ideals,
     enumerate_ideals,
 )
-from .matroid import Arrangement, Flat
+from .matroid import Arrangement
 from .classify import (
     ClassificationRecord,
     EquivalenceViolation,
@@ -48,7 +48,6 @@ __all__ = [
     "enumerate_ideals",
     "bad_ideals",
     "Arrangement",
-    "Flat",
     "PartitionCertificate",
     "ClassificationRecord",
     "EquivalenceViolation",

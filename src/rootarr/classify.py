@@ -15,10 +15,13 @@ Four predicates are computed independently for every ideal and must agree:
   height<=4 ideal): one scan of the system's ``ideals.bad_ideals`` table,
   which reads neither the order masks nor the chain test.
 
-Any disagreement raises :class:`EquivalenceViolation`; it signals an
-implementation bug and is never swallowed.  The Koszul verdict of a record
-is definitionally tied to supersolvability and is not an independent
-algebraic computation.
+Each search returns its blocks bottom-up as (block mask, meta) pairs, with
+meta as in ``PartitionCertificate.block_meta``, and ``_certificate`` turns
+any of them into a certificate.  Each verdict is read off its own route's
+search alone.  Any disagreement raises :class:`EquivalenceViolation`; it
+signals an implementation bug and is never swallowed.  The Koszul verdict
+of a record is definitionally tied to supersolvability and is not an
+independent algebraic computation.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from typing import Optional, Sequence
 
 from .rootsystem import RootSystem, _bits, _echelon, _memoized, format_root
 from .ideals import BadIdealWitness, Ideal, SubsystemView, bad_ideals, restrict_mask
-from .matroid import Arrangement, Flat
+from .matroid import Arrangement
 
 
 class EquivalenceViolation(RuntimeError):
@@ -73,12 +76,24 @@ class PartitionCertificate:
         }
 
 
+_Found = Optional[tuple[tuple[int, Optional[tuple]], ...]]
+
+
+def _certificate(kind: str, found: _Found) -> Optional[PartitionCertificate]:
+    """The certificate of a search's (block mask, meta) pairs; None for None."""
+    if found is None:
+        return None
+    return PartitionCertificate(
+        kind, tuple(tuple(_bits(b)) for b, _ in found), tuple(m for _, m in found)
+    )
+
+
 # -- chain peeling -----------------------------------------------------------
 
 
 @_memoized
-def _peel_search(system: RootSystem, mask: int) -> Optional[tuple[tuple[int, int], ...]]:
-    """Peel order as ((minimal root, filter mask), ...) or None.
+def _peel_search(system: RootSystem, mask: int) -> _Found:
+    """Peeled filters with ("F", minimal root), bottom-up, or None.
 
     The minimal elements of a root-poset ideal are exactly its simple
     roots: anything of height two or more covers a root, which downward
@@ -92,7 +107,7 @@ def _peel_search(system: RootSystem, mask: int) -> Optional[tuple[tuple[int, int
             continue
         rest = _peel_search(system, mask & ~fmask)
         if rest is not None:
-            return ((m, fmask),) + rest
+            return rest + ((fmask, ("F", m)),)
     return None
 
 
@@ -103,15 +118,7 @@ def chain_peeling(ideal: Ideal) -> Optional[PartitionCertificate]:
     ideal is a chain, with memoized backtracking over the choice; a chain
     poset is its own (single-block) peeling.
     """
-    peel = _peel_search(ideal.system, ideal.mask)
-    if peel is None:
-        return None
-    peel = peel[::-1]  # the first peeled block is the last one
-    return PartitionCertificate(
-        "peeling",
-        tuple(tuple(_bits(fmask)) for _, fmask in peel),
-        tuple(("F", m) for m, _ in peel),
-    )
+    return _certificate("peeling", _peel_search(ideal.system, ideal.mask))
 
 
 def validate_chain_peeling(ideal: Ideal, cert: PartitionCertificate) -> bool:
@@ -149,31 +156,32 @@ def _arr(system: RootSystem, mask: int) -> Arrangement:
 
 @_memoized
 def _generic_search(
-    system: RootSystem, mask: int, rank: int, flats: Sequence[Flat]
-) -> Optional[tuple[int, ...]]:
-    """Blocks as masks, bottom-up, or None; memoized on the ground mask.
+    system: RootSystem, mask: int, rank: int, flats: Sequence[tuple[int, int]]
+) -> _Found:
+    """Coatom complements with meta None, bottom-up, or None; memoized on ``mask``.
 
-    ``flats`` holds every flat on ``mask``, maybe more, in (rank, members)
-    order.  The flats of a matroid restricted to a flat X are its flats
-    inside X, so a coatom's search reads the same list; it builds nothing.
-    So ``rank`` and the flats the search reads are fixed by ``mask``.
+    ``flats`` holds every flat on ``mask``, maybe more, as (mask, rank)
+    pairs in (rank, mask) order.  The flats of a matroid restricted to a
+    flat X are its flats inside X, so a coatom's search reads the same
+    list; it builds nothing.  So ``rank`` and the flats the search reads
+    are fixed by ``mask``.
     """
     if mask == 0:
         return ()
-    for f in flats:
-        if f.rank != rank - 1 or f.members & ~mask:
+    for fm, fr in flats:
+        if fr != rank - 1 or fm & ~mask:
             continue
-        pi = mask & ~f.members
+        pi = mask & ~fm
         members = list(_bits(pi))
         if not all(
-            system.pair_span_mask(members[a], members[b]) & f.members
+            system.pair_span_mask(members[a], members[b]) & fm
             for a in range(len(members))
             for b in range(a + 1, len(members))
         ):
             continue
-        sub = _generic_search(system, f.members, rank - 1, flats)
+        sub = _generic_search(system, fm, rank - 1, flats)
         if sub is not None:
-            return sub + (pi,)
+            return sub + ((pi, None),)
     return None
 
 
@@ -184,14 +192,8 @@ def is_supersolvable_generic(arr: Arrangement) -> Optional[PartitionCertificate]
     flat met by the pair-closure of each of the block's pairs, recursing on
     the flat.  Deterministic: coatoms are tried in flat order.
     """
-    blocks = _generic_search(arr.system, arr.ground_mask, arr.rank(), arr.flats())
-    if blocks is None:
-        return None
-    return PartitionCertificate(
-        "supersolving",
-        tuple(tuple(_bits(m)) for m in blocks),
-        tuple(None for _ in blocks),
-    )
+    found = _generic_search(arr.system, arr.ground_mask, arr.rank(), arr.flats())
+    return _certificate("supersolving", found)
 
 
 def validate_supersolving(system: RootSystem, blocks: Sequence[Sequence[int]]) -> bool:
@@ -225,10 +227,8 @@ def validate_supersolving(system: RootSystem, blocks: Sequence[Sequence[int]]) -
 
 
 @_memoized
-def _rootideal_search(
-    table: RootSystem | SubsystemView, mask: int
-) -> Optional[tuple[tuple[tuple[int, ...], tuple], ...]]:
-    """Blocks with meta, bottom-up, for the first top block that works.
+def _rootideal_search(table: RootSystem | SubsystemView, mask: int) -> _Found:
+    """Block masks with meta, bottom-up, for the first top block that works.
 
     ``mask`` is an ideal of ``table``, which may lack simple roots.
     None when no candidate top block leads to a supersolving partition.
@@ -246,7 +246,7 @@ def _rootideal_search(
             continue
         sub = _rootideal_search(table, mask & ~fmask)
         if sub is not None:
-            return sub + ((tuple(_bits(fmask)), ("F", pos)),)
+            return sub + ((fmask, ("F", pos)),)
 
     # Case (b): the complement of the multiples of a bonded pair; the
     # remainder is an ideal of the rank-lowered subsystem.
@@ -272,7 +272,7 @@ def _rootideal_search(
         sub = _rootideal_search(view, rest)
         if sub is not None:
             meta = ("G", table.simple_positions[k1], table.simple_positions[k2], a, b)
-            return sub + ((members, meta),)
+            return sub + ((gmask, meta),)
     return None
 
 
@@ -288,14 +288,7 @@ def is_supersolvable_rootideal(ideal: Ideal) -> Optional[PartitionCertificate]:
     supersolvable iff it is peelable; so on a supersolvable ideal the
     certificate is the peeling's, blocks and meta alike.
     """
-    found = _rootideal_search(ideal.system, ideal.mask)
-    if found is None:
-        return None
-    return PartitionCertificate(
-        "supersolving",
-        tuple(b for b, _ in found),
-        tuple(m for _, m in found),
-    )
+    return _certificate("supersolving", _rootideal_search(ideal.system, ideal.mask))
 
 
 def exponents(cert: PartitionCertificate) -> tuple[int, ...]:

@@ -11,7 +11,8 @@ except for the ``timing_seconds`` field.  ``--format csv`` with ``--out
 R.json`` writes the JSON report to ``R.json`` and the CSV table to
 ``R.csv``.  ``--jobs N`` starts at most one worker per CPU and per ideal.
 Before any ideal is classified, the survey exits 2 if ``--out`` ends in
-``.csv`` (the table would overwrite the report), is a directory, lies in
+``.csv`` in any case (the table would overwrite the report, or would on a
+case-insensitive file system), is a directory, lies in
 a directory that does not exist, or, with ``--format csv``, if ``R.csv``
 is a directory.  Types of rank 7 and up are refused without ``--force``
 (an E8 survey classifies 25080 ideals of up to 120 roots; expect hours,
@@ -212,7 +213,7 @@ def cmd_survey(args) -> int:
             "on a shared 2-vCPU VM a serial E7 survey took 251 CPU s, about 4 minutes)"
         )
         return 2
-    if args.format == "csv" and args.out and Path(args.out).suffix == ".csv":
+    if args.format == "csv" and args.out and Path(args.out).suffix.lower() == ".csv":
         _err(f"--out {args.out} ends in .csv: --format csv would overwrite the JSON report there")
         return 2
     if args.out and not Path(args.out).parent.is_dir():

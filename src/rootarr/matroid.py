@@ -10,9 +10,10 @@ as the W-orbits of the standard parabolic flats (``_system_flats``, which
 argues its completeness); the flats of a subarrangement are their traces
 on its ground set, and the rank of each trace is read off the order of the
 system flats, again without elimination (``Arrangement.flats`` argues
-it).  Line-closedness, chain peeling and the root-ideal supersolvability
-search do not read these flats, so only the generic supersolvability
-search and the characteristic polynomial depend on them.
+it); both lists hold (mask, rank) pairs in (rank, mask) order.
+Line-closedness, chain peeling and the root-ideal supersolvability search
+do not read these flats, so only the generic supersolvability search and
+the characteristic polynomial depend on them.
 
 An arrangement is line-closed iff every 2-closed subset is a flat, and
 this is decided by a walk over 2-closed states, level by level in rank.
@@ -74,26 +75,10 @@ only ``RootSystem.pair_span_mask``.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .rootsystem import RootSystem, _bits, _echelon, _mask_of, _reduce, reflect
 from .rootsystem import _memo_table, _memoized
-
-
-@dataclass(frozen=True)
-class Flat:
-    """A span-closed subset of an arrangement.
-
-    ``members`` is a bitmask over root indices; ``rank`` the dimension of
-    the rational span of the member vectors.
-    """
-
-    members: int
-    rank: int
-
-    def indices(self) -> tuple[int, ...]:
-        return tuple(_bits(self.members))
 
 
 class Arrangement:
@@ -125,19 +110,12 @@ class Arrangement:
         """Dimension of the rational span of the ground set."""
         return len(_echelon(self.system.coords[i] for i in self.ground))
 
-    def two_flats(self) -> list[Flat]:
-        """All rank-2 flats: deduplicated closures of ground pairs."""
-        masks = set()
-        g = self.ground
-        for a in range(len(g)):
-            for b in range(a + 1, len(g)):
-                masks.add(self.system.pair_span_mask(g[a], g[b]) & self.ground_mask)
-        return [Flat(m, 2) for m in sorted(masks)]
-
     @_memoized
     def _long_lines(self) -> tuple[int, ...]:
-        """The lines of three or more roots, as masks."""
-        return tuple(f.members for f in self.two_flats() if f.members.bit_count() > 2)
+        """The lines (traced pair spans) of three or more roots, as sorted masks."""
+        system, g, gm = self.system, self.ground, self.ground_mask
+        lines = {system.pair_span_mask(i, j) & gm for a, i in enumerate(g) for j in g[a + 1 :]}
+        return tuple(sorted(m for m in lines if m.bit_count() > 2))
 
     # -- 2-closure and line-closedness -------------------------------------
 
@@ -244,10 +222,10 @@ class Arrangement:
     # -- flats and the characteristic polynomial ---------------------------
 
     @_memoized
-    def flats(self) -> tuple[Flat, ...]:
-        """Every flat of the arrangement, ordered by (rank, members).
+    def flats(self) -> tuple[tuple[int, int], ...]:
+        """Every flat of the arrangement as (mask, rank), ordered by (rank, mask).
 
-        Derived from the ambient system's flat list: a flat of a
+        On the full ground set this is ``_system_flats``.  A flat of a
         subarrangement is exactly the trace of an ambient flat on the
         ground set.  Its rank is that of the first system flat, in the
         order (rank, mask), whose trace it is.  For let F0 be that flat and
@@ -259,7 +237,7 @@ class Arrangement:
         derived: dict[int, int] = {}
         for fm, r in _system_flats(self.system):
             derived.setdefault(fm & self.ground_mask, r)
-        return tuple(Flat(m, r) for m, r in sorted(derived.items(), key=lambda kv: (kv[1], kv[0])))
+        return tuple(sorted(derived.items(), key=lambda kv: (kv[1], kv[0])))
 
     @_memoized
     def characteristic_polynomial(self) -> tuple[int, ...]:
@@ -273,12 +251,12 @@ class Arrangement:
         r = self.rank()
         mu: dict[int, int] = {}
         chi = [0] * (r + 1)
-        for f in self.flats():  # increasing rank, so all proper subflats done
-            m = -sum(v for g, v in mu.items() if g & f.members == g and g != f.members)
+        for fm, fr in self.flats():  # increasing rank, so all proper subflats done
+            m = -sum(v for g, v in mu.items() if g & fm == g and g != fm)
             if not mu:
                 m = 1  # the empty flat
-            mu[f.members] = m
-            chi[r - f.rank] += m
+            mu[fm] = m
+            chi[r - fr] += m
         return tuple(chi)
 
     def __repr__(self) -> str:

@@ -1,10 +1,12 @@
 """Finite crystallographic root systems in the simple-root basis.
 
 Roots are stored as integer coordinate vectors over the simple roots, so a
-positive root is a tuple of nonnegative integers and all arithmetic is exact
-(integers for coordinates, ``fractions.Fraction`` for the bilinear form).
-The root poset is the componentwise order on these coordinates; covers raise
-the height by one and differ by a simple root.
+positive root is a tuple of nonnegative integers and all arithmetic is exact:
+coordinates, the Cartan matrix and the bilinear form (scaled by the minimal
+integer symmetrizer) are integers, and ``fractions.Fraction`` appears only
+inside ``_symmetrizer``.  The root poset is the componentwise order on
+these coordinates; covers raise the height by one and differ by a simple
+root.
 
 Conventions, fixed once and documented here:
 
@@ -268,11 +270,10 @@ class RootSystem:
         self.label = label
         self.rank = label.rank
         self.cartan = tuple(tuple(r) for r in _cartan_matrix(label))
-        self.symmetrizer = tuple(Fraction(d) for d in _symmetrizer(self.cartan))
-        # form[i][j] = (alpha_i, alpha_j) = d_i C[i][j]; integral by choice
-        # of minimal integer symmetrizer.
+        self.symmetrizer = _symmetrizer(self.cartan)
+        # form[i][j] = (alpha_i, alpha_j) = d_i C[i][j], an integer.
         self.form = tuple(
-            tuple(int(self.symmetrizer[i] * self.cartan[i][j]) for j in range(self.rank))
+            tuple(self.symmetrizer[i] * self.cartan[i][j] for j in range(self.rank))
             for i in range(self.rank)
         )
         self._finish(self._generate_roots())
@@ -388,14 +389,14 @@ class RootSystem:
 
     # -- bilinear form and reflections ------------------------------------
 
-    def form_value(self, u: Sequence[int], v: Sequence[int]) -> Fraction:
+    def form_value(self, u: Sequence[int], v: Sequence[int]) -> int:
         """Exact (u, v) for coordinate vectors in the simple-root basis."""
         total = 0
         for i, ui in enumerate(u):
             if ui:
                 row = self.form[i]
                 total += ui * sum(row[j] * v[j] for j in range(self.rank))
-        return Fraction(total)
+        return total
 
     def reflect_vector(self, i: int, v: Sequence[int]) -> tuple[int, ...]:
         """Image of coordinate vector v under the simple reflection s_i."""

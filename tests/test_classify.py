@@ -20,7 +20,9 @@ from rootarr import (
     format_root,
     is_supersolvable_generic,
     is_supersolvable_rootideal,
+    matroid,
     parse_root,
+    rootsystem,
 )
 from rootarr.classify import (
     PartitionCertificate,
@@ -29,7 +31,14 @@ from rootarr.classify import (
     validate_supersolving,
 )
 from rootarr.ideals import restrict_mask
-from rootarr.rootsystem import _mask_of, _memo_table, _pair_plane, build_root_system
+from rootarr.rootsystem import (
+    _echelon,
+    _mask_of,
+    _memo_table,
+    _pair_plane,
+    _reduce,
+    build_root_system,
+)
 from rootarr.suites import poly_from_block_sizes
 from conftest import classify_type, f4_height4_mask, get_system
 from test_ideals import bond_block, pair_block
@@ -242,8 +251,8 @@ def test_f4_candidate_blocks_all_contain_two_flats():
         gmask = pair_block(rs, ihat.mask, a_name.index("1"), b_name.index("1"), a, b)
         x, y = parse_root(rs, x_name), parse_root(rs, y_name)
         assert gmask >> x & 1 and gmask >> y & 1
-        flat = closure(arr, [x, y])
-        assert flat.members & ihat.mask & ~gmask == 0
+        flat, _ = closure(arr, [x, y])
+        assert flat & ihat.mask & ~gmask == 0
 
 
 def test_rootideal_handles_non_essential_ideals():
@@ -418,22 +427,53 @@ def _drop_long_line_tops(pair, span):
     return span & ~(1 << span.bit_length() - 1) if span.bit_count() > 2 else span
 
 
-# Each installs a plausible bug in one kernel the routes share, on one system.
+def _install_kernel(mp, name, mutant) -> None:
+    """Bind ``mutant`` as ``name`` in every module that imports that kernel."""
+    for module in (rootsystem, matroid, classify):
+        if hasattr(module, name):
+            mp.setattr(module, name, mutant)
+
+
+def _echelon_without_third_row(vectors):
+    rows = _echelon(vectors)
+    return rows[:2] + rows[3:]
+
+
+def _simple_filters_without_lowest_root(rs) -> tuple[int, ...]:
+    """``rs.up_masks`` with the lowest root above each simple root dropped."""
+    up = list(rs.up_masks)
+    for p in rs.simple_positions:
+        above = up[p] & ~(1 << p)
+        up[p] ^= above & -above
+    return tuple(up)
+
+
+# Each installs a plausible bug in one kernel the routes share, on one system
+# or, for the elimination kernels, in every module that binds them.
 KERNEL_MUTANTS = {
-    "chains-always": lambda rs: setattr(rs, "is_chain_mask", lambda mask: True),
-    "chains-never": lambda rs: setattr(rs, "is_chain_mask", lambda mask: False),
-    "long-line-tops-dropped": lambda rs: _install_planes(rs, _drop_long_line_tops),
-    "two-root-lines": lambda rs: _install_planes(rs, lambda pair, span: _mask_of(pair)),
-    "no-bad-ideals": lambda rs: _memo_table(rs, bad_ideals).update({None: ()}),
+    "chains-always": lambda mp, rs: mp.setattr(rs, "is_chain_mask", lambda mask: True),
+    "chains-never": lambda mp, rs: mp.setattr(rs, "is_chain_mask", lambda mask: False),
+    "long-line-tops-dropped": lambda mp, rs: _install_planes(rs, _drop_long_line_tops),
+    "two-root-lines": lambda mp, rs: _install_planes(rs, lambda pair, span: _mask_of(pair)),
+    "no-bad-ideals": lambda mp, rs: _memo_table(rs, bad_ideals).update({None: ()}),
+    "echelon-drops-third-row": lambda mp, rs: _install_kernel(
+        mp, "_echelon", _echelon_without_third_row
+    ),
+    "reduce-skips-first-row": lambda mp, rs: _install_kernel(
+        mp, "_reduce", lambda rows, v: _reduce(rows[1:], v)
+    ),
+    "simple-filters-lose-lowest-root": lambda mp, rs: mp.setattr(
+        rs, "up_masks", _simple_filters_without_lowest_root(rs)
+    ),
 }
 
 
 @pytest.mark.parametrize("mutant", KERNEL_MUTANTS)
-def test_a_shared_kernel_bug_breaks_equivalence(mutant):
+def test_a_shared_kernel_bug_breaks_equivalence(mutant, monkeypatch):
     # the mutant goes on fresh systems, so no cached memo hides it
     for label in ["D4", "F4", "B4"]:
         rs = build_root_system(label)
-        KERNEL_MUTANTS[mutant](rs)
+        KERNEL_MUTANTS[mutant](monkeypatch, rs)
         for ideal in enumerate_ideals(rs):
             try:
                 classify_ideal(ideal)

@@ -316,6 +316,22 @@ def test_survey_csv_out_ending_in_csv_exits_2(tmp_path, capsys):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("name", ["R.CSV", "r.Csv"])
+def test_survey_csv_out_ending_in_csv_in_any_case_exits_2_before_surveying(
+    tmp_path, capsys, monkeypatch, name
+):
+    # on a case-insensitive file system the table R.csv would be the report R.CSV
+    def never(*args, **kwargs):
+        raise AssertionError("run_survey called")
+
+    monkeypatch.setattr(cli, "run_survey", never)
+    out_file = tmp_path / name
+    code, out, err = run(capsys, "survey", "--type", "A2", "--format", "csv", "--out", str(out_file))
+    assert code == 2 and not out
+    assert str(out_file) in err and ".csv" in err
+    assert not list(tmp_path.iterdir())
+
+
 def test_survey_out_into_missing_directory_exits_2_before_surveying(tmp_path, capsys, monkeypatch):
     def never(*args, **kwargs):
         raise AssertionError("run_survey called")

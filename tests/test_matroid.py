@@ -27,7 +27,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rootarr import Arrangement, Flat, Ideal, build_root_system, enumerate_ideals, matroid, parse_root
+from rootarr import Arrangement, Ideal, build_root_system, enumerate_ideals, matroid, parse_root
 from rootarr.matroid import _grow_two_closure, _join, _system_flats
 from rootarr.rootsystem import _bits, _echelon, _mask_of, _memo_table, _reduce, _span_mask, reflect
 from rootarr.suites import poly_from_block_sizes
@@ -68,12 +68,12 @@ def rank_of(arr: Arrangement, subset) -> int:
     return len(_echelon(arr.system.coords[i] for i in ground_subset(arr, subset)))
 
 
-def closure(arr: Arrangement, subset) -> Flat:
-    """All ground roots in the rational span of a ground subset, by elimination."""
+def closure(arr: Arrangement, subset) -> tuple[int, int]:
+    """The flat spanned by a ground subset, as (mask, rank), by elimination."""
     coords = arr.system.coords
     rows = _echelon(coords[i] for i in ground_subset(arr, subset))
     spanned = (i for i in arr.ground if not any(_reduce(rows, coords[i])))
-    return Flat(_mask_of(spanned), len(rows))
+    return _mask_of(spanned), len(rows)
 
 
 def two_closure(arr: Arrangement, subset) -> frozenset[int]:
@@ -202,10 +202,10 @@ def walk_without_skip(arr: Arrangement) -> tuple[bool, frozenset[int] | None]:
     return True, None
 
 
-def closure_level_search(arr: Arrangement) -> tuple[Flat, ...]:
-    """Every flat of an arrangement: closures of a flat plus one ground root.
+def closure_level_search(arr: Arrangement) -> tuple[tuple[int, int], ...]:
+    """Every flat (mask, rank) of an arrangement: closures of a flat plus one root.
 
-    Starts from the closure of the empty set; ordered by (rank, members).
+    Starts from the closure of the empty set; ordered by (rank, mask).
     The flats covering F partition the ground roots outside F, so a root
     already in a cover of F is not tried again.  Each flat keeps the basis
     it was reached by, which spans it.
@@ -214,16 +214,15 @@ def closure_level_search(arr: Arrangement) -> tuple[Flat, ...]:
     level = {found[0]: ()}
     while level:
         covers = {}
-        for f, basis in level.items():
-            done = f.members
+        for (done, _), basis in level.items():
             for v in arr.ground:
                 if not done >> v & 1:
                     cover = closure(arr, basis + (v,))
-                    done |= cover.members
+                    done |= cover[0]
                     covers.setdefault(cover, basis + (v,))
         level = covers
         found += covers
-    return tuple(sorted(found, key=lambda f: (f.rank, f.members)))
+    return tuple(sorted(found, key=lambda f: (f[1], f[0])))
 
 
 def star_ideal(rs) -> Ideal:
@@ -236,17 +235,17 @@ def star_ideal(rs) -> Ideal:
 def test_closure_a2_pair_spans_everything():
     rs = get_system("A2")
     arr = Arrangement(rs, range(3))
-    flat = closure(arr, [parse_root(rs, "10"), parse_root(rs, "11")])
-    assert flat.rank == 2 and set(flat.indices()) == {0, 1, 2}
+    flat, rank = closure(arr, [parse_root(rs, "10"), parse_root(rs, "11")])
+    assert rank == 2 and set(_bits(flat)) == {0, 1, 2}
 
 
 def test_closure_d4_star_ideal_pair():
     rs = get_system("D4")
     arr = Arrangement(rs, star_ideal(rs).members())
-    flat = closure(arr, [parse_root(rs, "0100"), parse_root(rs, "0111")])
+    flat, rank = closure(arr, [parse_root(rs, "0100"), parse_root(rs, "0111")])
     # no further root of the 10-element ground lies in that plane
-    assert {parse_root(rs, "0100"), parse_root(rs, "0111")} == set(flat.indices())
-    assert flat.rank == 2
+    assert {parse_root(rs, "0100"), parse_root(rs, "0111")} == set(_bits(flat))
+    assert rank == 2
 
 
 def test_closure_rejects_outside_ground():
@@ -264,13 +263,13 @@ def test_closure_is_a_closure_operator(label):
     for _ in range(25):
         s = frozenset(rng.sample(range(rs.nroots), rng.randint(0, min(6, rs.nroots))))
         t = s | frozenset(rng.sample(range(rs.nroots), rng.randint(0, 3)))
-        cs, ct = closure(arr, s), closure(arr, t)
+        (cs, cs_rank), (ct, _) = closure(arr, s), closure(arr, t)
         smask = sum(1 << i for i in s)
-        assert smask & cs.members == smask  # extensive
-        assert cs.members & ct.members == cs.members  # monotone
-        again = closure(arr, cs.indices())
-        assert again.members == cs.members and again.rank == cs.rank  # idempotent
-        assert cs.rank == frac_rank([rs.coords[i] for i in s])
+        assert smask & cs == smask  # extensive
+        assert cs & ct == cs  # monotone
+        again, again_rank = closure(arr, _bits(cs))
+        assert again == cs and again_rank == cs_rank  # idempotent
+        assert cs_rank == frac_rank([rs.coords[i] for i in s])
 
 
 def test_rank_examples():
@@ -311,22 +310,37 @@ def test_deletion_and_restriction(label):
         sub = Arrangement(rs, keep)
         assert sub.rank() <= full.rank()
         s = rng.sample(keep, min(3, len(keep)))
-        assert closure(sub, s).members == closure(full, s).members & sub.ground_mask
+        assert closure(sub, s)[0] == closure(full, s)[0] & sub.ground_mask
 
 
 # -- two-flats and independent sets ------------------------------------------------
 
 
+def two_flats(arr: Arrangement) -> list[int]:
+    """The masks of the rank-2 entries of ``arr.flats()``, checked against the lines."""
+    masks = [m for m, r in arr.flats() if r == 2]
+    assert arr._long_lines() == tuple(m for m in masks if m.bit_count() > 2)
+    return masks
+
+
 def test_two_flats_a2():
     rs = get_system("A2")
-    flats = Arrangement(rs, range(3)).two_flats()
-    assert len(flats) == 1 and flats[0].members == 0b111
+    flats = two_flats(Arrangement(rs, range(3)))
+    assert len(flats) == 1 and flats[0] == 0b111
 
 
 def test_two_flats_d4_full():
     rs = get_system("D4")
-    for f in Arrangement(rs, range(rs.nroots)).two_flats():
-        assert f.rank == 2 and f.members.bit_count() >= 2
+    flats = two_flats(Arrangement(rs, range(rs.nroots)))
+    assert flats
+    for f in flats:
+        assert frac_rank([rs.coords[i] for i in _bits(f)]) == 2 and f.bit_count() >= 2
+
+
+@pytest.mark.parametrize("label", ["A3", "B3", "C3", "D4", "G2", "F4", "B4", "A5", "D5"])
+def test_full_arrangement_flats_are_the_system_flats(label):
+    rs = get_system(label)
+    assert Arrangement(rs, range(rs.nroots)).flats() == matroid._system_flats(rs)
 
 
 def test_two_flat_containment_f4_height4():
@@ -335,9 +349,9 @@ def test_two_flat_containment_f4_height4():
     rs = get_system("F4")
     ihat = Ideal(rs, f4_height4_mask(rs))
     arr = Arrangement(rs, ihat.members())
-    flat = closure(arr, [parse_root(rs, "0210"), parse_root(rs, "0111")])
-    assert flat.rank == 2
-    assert flat.members & ~ihat.mask == 0
+    flat, rank = closure(arr, [parse_root(rs, "0210"), parse_root(rs, "0111")])
+    assert rank == 2
+    assert flat & ~ihat.mask == 0
 
 
 def independent_sets(arr: Arrangement, max_size: int) -> list[tuple[int, ...]]:
@@ -405,7 +419,7 @@ def test_two_closure_below_closure(label):
     for _ in range(20):
         s = rng.sample(range(rs.nroots), rng.randint(1, 4))
         tc = two_closure(arr, s)
-        cl = set(closure(arr, s).indices())
+        cl = set(_bits(closure(arr, s)[0]))
         assert tc <= cl
 
 
@@ -440,8 +454,8 @@ def test_d4_star_witness_closure_reconstructs_first_simple():
     )
     assert combo == tuple(Fraction(x) for x in rs.coords[alpha1])
     arr = Arrangement(rs, star_ideal(rs).members())
-    flat = closure(arr, [a2, g1, g3, g4])
-    assert alpha1 in flat.indices()
+    flat, _ = closure(arr, [a2, g1, g3, g4])
+    assert alpha1 in _bits(flat)
     assert frozenset((a2, g1, g3, g4)) == two_closure(arr, [a2, g1, g3, g4])
 
 
@@ -459,8 +473,8 @@ def test_f4_witness_set_is_2_closed_not_flat():
     )
     assert combo == tuple(Fraction(x) for x in rs.coords[alpha2])
     assert two_closure(arr, S) == frozenset(S)
-    flat = closure(arr, S)
-    assert alpha2 in flat.indices()
+    flat, _ = closure(arr, S)
+    assert alpha2 in _bits(flat)
 
 
 @pytest.mark.parametrize("label", ["A3", "B3", "D4", "G2"])
@@ -513,7 +527,7 @@ def test_rank_closure_and_two_closure_match_brute_force(case, data):
     rank = frac_rank(vecs)
     assert rank_of(arr, subset) == rank
     spanned = {z for z in ground if frac_rank(vecs + [rs.coords[z]]) == rank}
-    assert closure(arr, subset) == Flat(sum(1 << z for z in spanned), rank)
+    assert closure(arr, subset) == (sum(1 << z for z in spanned), rank)
     # naive 2-closure: add any ground z with rank{x, y, z} = 2 for x, y in the set
     on_line = {
         (x, y): {z for z in ground if frac_rank([rs.coords[t] for t in (x, y, z)]) == 2}
@@ -545,10 +559,10 @@ def test_grow_two_closure_same_roots_regrow_the_child(case):
     label, ground = case
     arr = Arrangement(get_system(label), ground)
     pair = pair_table(arr)
-    for flat in arr.flats():
-        if flat.rank < 2:
+    for state, rank in arr.flats():
+        if rank < 2:
             continue
-        state, members = flat.members, list(flat.indices())
+        members = list(_bits(state))
         for v in arr.ground:
             if state >> v & 1:
                 continue
@@ -644,9 +658,10 @@ def frac_rank_of_mask(label: str, mask: int) -> int:
 def check_flats(arr: Arrangement) -> None:
     flats = arr.flats()
     assert flats == closure_level_search(arr)
+    two_flats(arr)  # the long lines are the rank-2 flats of three or more roots
     for f in flats:
-        assert f.rank == frac_rank_of_mask(str(arr.system.label), f.members)
-        assert closure(arr, f.indices()) == f
+        assert f[1] == frac_rank_of_mask(str(arr.system.label), f[0])
+        assert closure(arr, _bits(f[0])) == f
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)

@@ -235,6 +235,23 @@ def test_form_symmetric_positive_definite(label):
         assert rs.form_value(rs.coords[i], rs.coords[i]) > 0
 
 
+@pytest.mark.parametrize("label", ["A3", "B3", "C3", "D4", "F4", "G2"])
+def test_form_is_integral(label):
+    # the minimal integer symmetrizer makes every form value an int, not a Fraction
+    rs = get_system(label)
+    n = rs.rank
+    assert all(type(d) is int and d > 0 for d in rs.symmetrizer)
+    assert all(
+        rs.symmetrizer[i] * rs.cartan[i][j] == rs.symmetrizer[j] * rs.cartan[j][i]
+        for i in range(n)
+        for j in range(n)
+    )
+    assert all(type(x) is int for row in rs.form for x in row)
+    assert all(
+        type(rs.form_value(u, v)) is int for u in rs.coords for v in rs.coords
+    )
+
+
 def _det(m):
     if len(m) == 1:
         return m[0][0]
