@@ -27,8 +27,7 @@ independent algebraic computation.
 from __future__ import annotations
 
 import shlex
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .rootsystem import RootSystem, _bits, _echelon, _memoized, format_root
 from .ideals import BadIdealWitness, Ideal, SubsystemView, bad_ideals, restrict_mask
@@ -39,8 +38,7 @@ class EquivalenceViolation(RuntimeError):
     """The classification predicates disagreed on some ideal."""
 
 
-@dataclass(frozen=True)
-class PartitionCertificate:
+class PartitionCertificate(NamedTuple):
     """An ordered partition witnessing a peeling or a supersolving partition.
 
     ``blocks`` are tuples of root indices, listed bottom-up: the block
@@ -304,8 +302,7 @@ def exponents(cert: PartitionCertificate) -> tuple[int, ...]:
 # -- the combined classifier ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ClassificationRecord:
+class ClassificationRecord(NamedTuple):
     """Per-ideal verdicts plus witnesses and certificates.
 
     The four verdict fields always agree (their equality is asserted at

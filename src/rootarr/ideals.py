@@ -19,11 +19,11 @@ with the two axes of a bonded pair merged into one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .rootsystem import (
     RootSystem,
+    _Frozen,
     _bits,
     _bond_blocks,
     _mask_of,
@@ -33,8 +33,7 @@ from .rootsystem import (
 )
 
 
-@dataclass(frozen=True)
-class Ideal:
+class Ideal(_Frozen):
     """A downward-closed set of positive roots of a root system.
 
     ``mask`` is a bitmask over the system's root indices.  Validated on
@@ -42,16 +41,17 @@ class Ideal:
     subsystem view's masks are already masks of its base system.
     """
 
-    system: RootSystem
-    mask: int
+    __slots__ = ("system", "mask")
 
-    def __post_init__(self):
-        if not isinstance(self.system, RootSystem):
+    def __init__(self, system: RootSystem, mask: int):
+        if not isinstance(system, RootSystem):
             raise ValueError("an ideal belongs to a full root system")
-        if self.mask < 0 or self.mask > self.system.full_mask:
+        if mask < 0 or mask > system.full_mask:
             raise ValueError("ideal mask out of range")
-        if not self.system.is_downward_closed(self.mask):
+        if not system.is_downward_closed(mask):
             raise ValueError("set is not downward closed")
+        object.__setattr__(self, "system", system)
+        object.__setattr__(self, "mask", mask)
 
     @classmethod
     def from_roots(cls, system: RootSystem, roots: Sequence[int]) -> "Ideal":
@@ -138,8 +138,7 @@ def enumerate_ideals(rs: RootSystem) -> Iterator[Ideal]:
         yield Ideal(rs, mask)
 
 
-@dataclass(frozen=True)
-class BadIdealWitness:
+class BadIdealWitness(NamedTuple):
     """Witness for one of the two minimal non-supersolvable ideals.
 
     ``kind`` is "star" (the three height-3 roots around a degree-3 Dynkin

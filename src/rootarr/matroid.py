@@ -44,6 +44,39 @@ and the witness are those of growing every root.  A direct
 smallest-first enumeration of all 2-closed subsets, with its own
 from-scratch 2-closure, is kept alongside as an independent oracle.
 
+The walk may also be rooted at one ground root m: seeded with the lines
+through m alone, its states are the 2-closed flats through m that it
+reaches, and a non-flat it meets is a witness.  Let J be the ground minus
+m.  If A_J is line-closed, then A is line-closed iff every state of the
+m-rooted walk is a flat, so the rooted walk alone decides A.  Let T be
+a 2-closed non-flat of A, of rank k, with closure Y.  T is 2-closed in
+A_J too, since a line of A_J lies in a line of A.
+(1) m not in Y.  Then T is a flat of A_J, T = J & span(T), and m is not
+in span(T), so T is a flat of A: impossible.
+(2) m in T.  Extend m to a basis B = m, b2, .., bk of T.  cl2(B) lies in
+T, and its closure is that of T, which exceeds T, so cl2(B) is not a
+flat.  As for the whole walk, take the shortest prefix of B whose
+2-closure is not a flat: cl2(m, b2) is a seed line, and each shorter
+prefix's 2-closure is a flat through m, hence a rooted state, so the
+rooted walk meets a non-flat.
+(3) m in Y but not in T.  T is a flat of A_J, so Y = T + m and m lies in
+span(T).  No line through m in Y holds two roots of T, which is 2-closed,
+so every such line holds exactly two roots.  Write m over a basis
+t1, .., tk of T and drop a t_i of nonzero coefficient: m is outside the
+span of the remaining k - 1 roots t.  Then cl2(t) lies in T, and adding m
+meets no line of three roots, so C = cl2(m, t) = {m} + cl2(t), of rank
+k.  If every rooted state is a flat, then C is one (by (2)'s prefix
+argument, a rooted state or a walk that met a non-flat first), and a
+flat of rank k inside Y is Y itself, so T lies in cl2(t), whose rank is
+k - 1: impossible.
+So every 2-closed non-flat makes the rooted walk meet a non-flat, and
+conversely every state the rooted walk meets is 2-closed, so flatness
+is the only test its states need.  ``is_line_closed`` uses
+this when its per-system table already holds J's verdict, true, for m
+the highest root of the ground: for an ideal, m is then maximal and J an
+ideal decided earlier.  When the rooted walk meets a non-flat, the whole
+walk runs again, so the witness is the whole walk's.
+
 The flatness test of a new state goes through a join memo on the system,
 kept in ``_memos``, filled lazily by ``_join``.  Each state S is held
 as its key alone: a mask of system roots that contains S and lies in
@@ -134,11 +167,26 @@ class Arrangement:
     def is_line_closed(self) -> tuple[bool, frozenset[int] | None]:
         """Decide line-closedness; on failure also return a witness.
 
-        Walks the 2-closed states level by level in rank; the module
-        docstring explains why the walk is complete.  Rank-2 states are
-        the distinct pair spans; a rank-(k+1) state is the 2-closure of a
-        rank-k state plus one ground root outside it, grown only from the
-        new roots through a pair-span table built for this call.  Per
+        The verdict of each ground mask is kept in one table per system
+        (:func:`_line_closed`).  When that table already says the ground
+        minus its highest root m is line-closed, the walk is first seeded
+        with the lines through m alone; the module docstring proves that
+        the arrangement is then line-closed iff every state of that walk
+        is a flat.  Otherwise, or when the rooted walk meets a non-flat,
+        the whole walk runs, so the witness never depends on the table.
+        """
+        return _line_closed(self.system, self.ground_mask, self)
+
+    def _walk(self, seed: int) -> frozenset[int] | None:
+        """The first 2-closed state that is not a flat, or None.
+
+        Walks the 2-closed states level by level in rank, starting from the
+        distinct pair spans that hold a root of ``seed``: all of them when
+        ``seed`` is the ground set, the lines through m when it is root m
+        (the module docstring proves when each is complete).  A rank-(k+1)
+        state is the 2-closure of a rank-k state plus one ground root
+        outside it, grown only from the new roots through a pair-span table
+        built for this call.  Per
         parent, ``done`` collects the roots that ``_grow_two_closure``
         proves would regrow a child already grown; they are skipped, as
         they would only hit a state already in the next level, so the
@@ -155,9 +203,6 @@ class Arrangement:
         mask, added root, so it is the same on every run, whatever the memo
         already holds.
         """
-        r = self.rank()
-        if r < 3:
-            return True, None
         system, g, gm = self.system, self.ground, self.ground_mask
         pair = [[0] * system.nroots if gm >> i & 1 else [] for i in range(system.nroots)]
         level: dict[int, int] = {}
@@ -165,8 +210,9 @@ class Arrangement:
             for j in g[a + 1 :]:
                 span = system.pair_span_mask(i, j)
                 pair[i][j] = pair[j][i] = span & gm
-                level.setdefault(span & gm, span)
-        for _ in range(3, r + 1):
+                if (seed >> i | seed >> j) & 1:
+                    level.setdefault(span & gm, span)
+        for _ in range(3, self.rank() + 1):
             nxt: dict[int, int] = {}
             for state in sorted(level):
                 key, members = level[state], list(_bits(state))
@@ -180,10 +226,10 @@ class Arrangement:
                         continue
                     child_key = key | _join(system, key, v, gm, grown)
                     if child_key & gm != grown:
-                        return False, frozenset(_bits(grown))
+                        return frozenset(_bits(grown))
                     nxt[grown] = child_key
             level = nxt
-        return True, None
+        return None
 
     def _two_closed_masks(self) -> Iterator[int]:
         """Every 2-closed subset as a mask, smallest first (oracle-grade).
@@ -261,6 +307,24 @@ class Arrangement:
 
     def __repr__(self) -> str:
         return f"Arrangement({self.system.label}, {len(self.ground)} vectors)"
+
+
+@_memoized
+def _line_closed(
+    system: RootSystem, ground: int, arr: Arrangement
+) -> tuple[bool, frozenset[int] | None]:
+    """``Arrangement.is_line_closed`` of ``arr``, whose ground mask is ``ground``.
+
+    Memoized on the system, so its table holds every verdict reached so far;
+    the rooted walk reads only the entry of ground minus its highest root.
+    """
+    if arr.rank() < 3:
+        return True, None
+    top = 1 << ground.bit_length() - 1
+    if _memo_table(system, _line_closed).get(ground ^ top, (False,))[0] and arr._walk(top) is None:
+        return True, None
+    witness = arr._walk(ground)
+    return witness is None, witness
 
 
 def _sweep_lines(lines: tuple[int, ...], mask: int) -> int:

@@ -2,11 +2,10 @@
 
 Roots are stored as integer coordinate vectors over the simple roots, so a
 positive root is a tuple of nonnegative integers and all arithmetic is exact:
-coordinates, the Cartan matrix and the bilinear form (scaled by the minimal
-integer symmetrizer) are integers, and ``fractions.Fraction`` appears only
-inside ``_symmetrizer``.  The root poset is the componentwise order on
-these coordinates; covers raise the height by one and differ by a simple
-root.
+coordinates, the Cartan matrix, the minimal integer symmetrizer and the
+bilinear form it scales are all integers.  The root poset is the
+componentwise order on these coordinates; covers raise the height by one
+and differ by a simple root.
 
 Conventions, fixed once and documented here:
 
@@ -46,8 +45,6 @@ from __future__ import annotations
 import functools
 import math
 import re
-from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
 ADMISSIBLE_RANKS = {
@@ -63,21 +60,53 @@ ADMISSIBLE_RANKS = {
 _TYPE_RE = re.compile(r"^([A-Ga-g])\s*(\d+)$")
 
 
-@dataclass(frozen=True)
-class TypeLabel:
+class _Frozen:
+    """Read-only ``__slots__`` fields, compared, hashed, shown and pickled as a tuple.
+
+    A subclass sets its fields in ``__init__`` through ``object.__setattr__``.
+    """
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{k}={v!r}" for k, v in zip(self.__slots__, self._values()))
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class TypeLabel(_Frozen):
     """A Cartan type: family letter plus rank, admissible pairs only."""
 
-    family: str
-    rank: int
+    __slots__ = ("family", "rank")
 
-    def __post_init__(self):
-        fam = self.family.upper()
-        object.__setattr__(self, "family", fam)
-        if fam not in ADMISSIBLE_RANKS or self.rank not in ADMISSIBLE_RANKS[fam]:
+    def __init__(self, family: str, rank: int):
+        fam = family.upper()
+        if fam not in ADMISSIBLE_RANKS or rank not in ADMISSIBLE_RANKS[fam]:
             raise ValueError(
-                f"inadmissible type {fam}{self.rank}: supported are "
+                f"inadmissible type {fam}{rank}: supported are "
                 "A1-A8, B2-B8, C2-C8, D3-D8, E6-E8, F4, G2"
             )
+        object.__setattr__(self, "family", fam)
+        object.__setattr__(self, "rank", rank)
 
     @classmethod
     def parse(cls, text: str) -> "TypeLabel":
@@ -140,21 +169,22 @@ def _symmetrizer(C: Sequence[Sequence[int]]) -> tuple[int, ...]:
     admissible Cartan matrices.
     """
     n = len(C)
-    d: list[Fraction | None] = [None] * n
-    d[0] = Fraction(1)
+    d = [1] + [0] * (n - 1)
     pending = [0]
     while pending:
         i = pending.pop()
         for j in range(n):
-            if i != j and C[i][j] != 0 and d[j] is None:
-                d[j] = d[i] * Fraction(C[i][j], C[j][i])
+            if i != j and C[i][j] != 0 and not d[j]:
+                # d_j = d_i C[i][j] / C[j][i]: first scale d so that it divides.
+                num, den = d[i] * C[i][j], C[j][i]
+                scale = abs(den) // math.gcd(num, den)
+                d = [x * scale for x in d]
+                d[j] = num * scale // den
                 pending.append(j)
     # Supported diagrams are connected, so every d[j] is set.
-    assert all(x is not None for x in d)
-    denom_lcm = math.lcm(*(x.denominator for x in d))
-    scaled = [int(x * denom_lcm) for x in d]
-    g = math.gcd(*scaled)
-    return tuple(x // g for x in scaled)
+    assert all(d)
+    g = math.gcd(*d)
+    return tuple(x // g for x in d)
 
 
 def _reduce(rows: list[tuple[int, tuple[int, ...]]], v: Sequence[int]):

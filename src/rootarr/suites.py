@@ -27,8 +27,6 @@ went wrong:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .rootsystem import RootSystem, _bits, _mask_of, format_root
 from .ideals import Ideal, enumerate_ideals
 from .classify import (
@@ -40,12 +38,15 @@ from .classify import (
 )
 
 
-@dataclass
 class SuiteResult:
-    suite: str
-    type_label: str
-    checked: int = 0
-    failures: list[str] = field(default_factory=list)
+    """One suite's sweep of one system: the checked count and counterexamples."""
+
+    __slots__ = ("suite", "type_label", "checked", "failures")
+
+    def __init__(self, suite: str, type_label: str):
+        self.suite, self.type_label = suite, type_label
+        self.checked = 0
+        self.failures: list[str] = []
 
     @property
     def ok(self) -> bool:

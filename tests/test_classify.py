@@ -439,6 +439,12 @@ def _echelon_without_third_row(vectors):
     return rows[:2] + rows[3:]
 
 
+def _trust_line_closed_subideals(mp) -> None:
+    """Let every rooted walk pass unwalked: a line-closed subideal vouches for the ideal."""
+    walk = Arrangement._walk
+    mp.setattr(Arrangement, "_walk", lambda arr, seed: walk(arr, seed) if seed == arr.ground_mask else None)
+
+
 def _simple_filters_without_lowest_root(rs) -> tuple[int, ...]:
     """``rs.up_masks`` with the lowest root above each simple root dropped."""
     up = list(rs.up_masks)
@@ -449,7 +455,9 @@ def _simple_filters_without_lowest_root(rs) -> tuple[int, ...]:
 
 
 # Each installs a plausible bug in one kernel the routes share, on one system
-# or, for the elimination kernels, in every module that binds them.
+# or, for the elimination kernels, in every module that binds them.  The last
+# is the line-closedness route's own shortcut: it trusts a line-closed
+# subideal without the rooted walk.
 KERNEL_MUTANTS = {
     "chains-always": lambda mp, rs: mp.setattr(rs, "is_chain_mask", lambda mask: True),
     "chains-never": lambda mp, rs: mp.setattr(rs, "is_chain_mask", lambda mask: False),
@@ -465,6 +473,7 @@ KERNEL_MUTANTS = {
     "simple-filters-lose-lowest-root": lambda mp, rs: mp.setattr(
         rs, "up_masks", _simple_filters_without_lowest_root(rs)
     ),
+    "rooted-walk-trusts-subideal": lambda mp, rs: _trust_line_closed_subideals(mp),
 }
 
 

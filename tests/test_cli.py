@@ -5,8 +5,12 @@ from __future__ import annotations
 import gc
 import hashlib
 import json
+import os
 import shlex
+import subprocess
+import sys
 import weakref
+from pathlib import Path
 
 import pytest
 
@@ -437,3 +441,16 @@ def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
     assert exc.value.code == 0
+
+
+def test_import_loads_no_dataclasses_fractions_or_inspect():
+    # every start compiles or loads these: dataclasses alone costs several
+    # ms, and without site no other stdlib import of the package pulls
+    # them in
+    src = Path(rootarr.__file__).resolve().parent.parent
+    probe = "import sys, rootarr.cli; print(*sorted({'dataclasses', 'fractions', 'inspect'} & set(sys.modules)))"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout.split() == []

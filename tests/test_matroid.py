@@ -25,7 +25,7 @@ from functools import lru_cache
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from rootarr import Arrangement, Ideal, build_root_system, enumerate_ideals, matroid, parse_root
 from rootarr.matroid import _grow_two_closure, _join, _system_flats
@@ -515,6 +515,27 @@ def test_line_closed_walk_matches_definition_on_random_subsets(case):
     assert Arrangement(build_root_system(label), ground).is_line_closed() == (ok, witness)
 
 
+def test_rooted_walk_matches_definition_on_random_subsets():
+    # the matroid docstring's lemma, on sets that are rarely ideals: when
+    # S - m is line-closed, for m the highest root of S, the walk rooted at
+    # m finds only flats iff S is line-closed
+    verdicts = []
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(root_subsets())
+    def check(case):
+        label, ground = case
+        rs = get_system(label)
+        assume(Arrangement(rs, ground[:-1]).line_closed_by_definition()[0])
+        arr = Arrangement(rs, ground)
+        ok = arr.line_closed_by_definition()[0]
+        assert (arr._walk(1 << ground[-1]) is None) == ok
+        verdicts.append(ok)
+
+    check()
+    assert True in verdicts and False in verdicts
+
+
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(root_subsets(), st.data())
 def test_rank_closure_and_two_closure_match_brute_force(case, data):
@@ -599,6 +620,38 @@ def test_join_memo_never_changes_a_walk(label):
     assert _memo_table(shared, _join) and _memo_table(reverse, _join)
 
 
+@pytest.mark.parametrize(
+    "label, rooted",
+    [("D4", 34), ("F4", 69), ("B4", 55), ("C4", 55), ("G2", 0), ("A5", 112), ("D5", 140)],
+)
+def test_rooted_walk_changes_no_verdict_or_witness(label, rooted, monkeypatch):
+    # smallest first, an ideal's subideal J without its highest root is
+    # decided first, and the walk is rooted whenever J is line-closed and
+    # the ideal has rank 3 or more (34 of D4's 50 ideals: 47 have a
+    # line-closed J, 13 of them rank at most 2); largest first it never
+    # is.  Both orders give the same verdicts and witnesses.
+    seeds = []
+    walk = Arrangement._walk
+
+    def recorded(arr, seed):
+        seeds.append((arr.ground_mask, seed))
+        return walk(arr, seed)
+
+    monkeypatch.setattr(Arrangement, "_walk", recorded)
+    masks = [ideal.mask for ideal in enumerate_ideals(get_system(label))]
+    small, large = build_root_system(label), build_root_system(label)
+    down = {m: Arrangement(large, _bits(m)).is_line_closed() for m in reversed(masks)}
+    assert all(seed == m for m, seed in seeds)
+    seeds.clear()
+    up = {m: Arrangement(small, _bits(m)).is_line_closed() for m in masks}
+    assert up == down
+    taken = [m for m, seed in seeds if seed != m]
+    assert len(taken) == len(set(taken))
+    lower = {m: down[m ^ 1 << m.bit_length() - 1][0] for m in masks if m}
+    assert taken == [m for m in masks if Arrangement(small, _bits(m)).rank() > 2 and lower[m]]
+    assert len(taken) == rooted
+
+
 @pytest.mark.parametrize("label", ["D5", "F4"])
 def test_join_memo_entries_hold_from_scratch(label):
     # every entry (key, v) -> [covered, cls]: v is in cls, cls lies in
@@ -622,7 +675,8 @@ def test_join_memo_entries_hold_from_scratch(label):
 def test_second_walk_of_an_ideal_does_no_elimination(label, monkeypatch):
     # walk states hold only their join keys, and a join entry builds echelon
     # rows only for roots it has not tested, so walking an ideal again on
-    # the same system reads the memo alone
+    # the same system reads the memo alone.  The whole walk is called
+    # directly, as is_line_closed would only look its verdict up.
     rs = build_root_system(label)
     calls = []
 
@@ -636,13 +690,13 @@ def test_second_walk_of_an_ideal_does_no_elimination(label, monkeypatch):
         return call
 
     for ideal in list(enumerate_ideals(rs))[::7]:
-        first = Arrangement(rs, ideal.members()).is_line_closed()
+        first = Arrangement(rs, ideal.members())._walk(ideal.mask)
         again = Arrangement(rs, ideal.members())
         again.rank()
         with monkeypatch.context() as m:
             m.setattr(matroid, "_echelon", counted("_echelon"))
             m.setattr(matroid, "_reduce", counted("_reduce"))
-            assert again.is_line_closed() == first
+            assert again._walk(again.ground_mask) == first
     assert calls == []
 
 

@@ -16,6 +16,7 @@ from itertools import combinations
 import pytest
 
 from rootarr import (
+    Ideal,
     TypeLabel,
     classify,
     enumerate_ideals,
@@ -65,6 +66,24 @@ def test_type_parse_roundtrip():
     assert str(TypeLabel.parse("d4")) == "D4"
     with pytest.raises(ValueError):
         TypeLabel.parse("Dfour")
+
+
+def test_labels_and_ideals_are_read_only_values():
+    # equal and hashed by their fields, as frozen records; an ideal's
+    # system compares by identity, so only a label survives pickling equal
+    rs = get_system("D4")
+    cases = [(lambda: TypeLabel("d", 4), ("family", "rank")), (lambda: Ideal(rs, 3), ("system", "mask"))]
+    for make, fields in cases:
+        a, b = make(), make()
+        assert a == b and hash(a) == hash(b) and a is not b
+        for name in fields:
+            with pytest.raises(AttributeError):
+                setattr(a, name, getattr(a, name))
+    assert pickle.loads(pickle.dumps(TypeLabel("D", 4))) == TypeLabel("D", 4)
+    copy = pickle.loads(pickle.dumps(Ideal(rs, 3)))
+    assert (str(copy.system.label), copy.mask) == ("D4", 3)
+    assert repr(TypeLabel("d", 4)) == "TypeLabel(family='D', rank=4)"
+    assert TypeLabel("D", 4) != TypeLabel("D", 5) and Ideal(rs, 1) != Ideal(rs, 3)
 
 
 # -- construction: counts, orbit oracle, frozen tables -------------------------------
