@@ -7,9 +7,9 @@ Four predicates are computed independently for every ideal and must agree:
   backtracking search over which minimal element to peel);
 * supersolvability, decided twice: by a generic matroid search over
   modular coatom flats, and by the root-ideal fast path whose top-block
-  candidates are restricted to chain filters of simple roots and to the
-  bonded-pair complement blocks, recursing into root subsystems after the
-  latter;
+  candidates are restricted to filters of simple roots and to the
+  bonded-pair complement blocks, each tested for modularity and never by
+  the chain test, recursing into root subsystems after the latter;
 * line-closedness of the arrangement;
 * absence of the two minimal obstructions (star configuration / the F4
   height<=4 ideal): one scan of the system's ``ideals.bad_ideals`` table,
@@ -43,7 +43,7 @@ class PartitionCertificate(NamedTuple):
 
     ``blocks`` are tuples of root indices, listed bottom-up: the block
     peeled (or split off) first is the last one.  ``block_meta`` parallels
-    ``blocks``: ("F", alpha) for the chain filter of simple root ``alpha``,
+    ``blocks``: ("F", alpha) for the filter of simple root ``alpha``,
     ("G", alpha, beta, a, b) for a bonded-pair complement block, or None
     when the generic search found the block as a coatom complement.
     """
@@ -230,47 +230,43 @@ def _rootideal_search(table: RootSystem | SubsystemView, mask: int) -> _Found:
 
     ``mask`` is an ideal of ``table``, which may lack simple roots.
     None when no candidate top block leads to a supersolving partition.
-    The order comes from the base system, which a view's order agrees with
-    (see ``SubsystemView``).  Pair blocks come from ``table.bonds``, and
-    the remainder ``mask & keep`` is searched in the view of that bond.
+    Candidates are each simple root's filter, searched on in ``table``,
+    then each bonded-pair complement block of ``table.bonds``, searched on
+    in the view of its bond.  The order comes from the base system, which a
+    view's order agrees with (see ``SubsystemView``).
+
+    One test accepts every candidate: each pair of its roots spans a line
+    that meets the rest of the ideal.  The rest of alpha's filter is the
+    ideal's part of the span of the other simple roots, a flat one rank
+    lower; so the filter is a coatom complement, and the test is the
+    modular-coatom test.
     """
     if mask == 0:
         return ()
-    base = table.base
-    # Case (a): the filter of a simple root in the ideal, if it is a chain.
-    for pos in (p for p in table.simple_positions if mask >> p & 1):
-        fmask = mask & base.up_masks[pos]
-        if not base.is_chain_mask(fmask):
-            continue
-        sub = _rootideal_search(table, mask & ~fmask)
-        if sub is not None:
-            return sub + ((fmask, ("F", pos)),)
-
-    # Case (b): the complement of the multiples of a bonded pair; the
-    # remainder is an ideal of the rank-lowered subsystem.
-    for block in table.bonds:
-        k1, k2, a, b, bond, keep = block
-        if not mask >> bond & 1:
-            continue  # remainder would lose a full rank
-        gmask = mask & ~keep
-        if not gmask:
-            continue
-        members = tuple(_bits(gmask))
+    base, simple = table.base, table.simple_positions
+    tops = [(mask & base.up_masks[p], ("F", p), None) for p in simple if mask >> p & 1]
+    for bond in table.bonds:
+        k1, k2, a, b, root, keep = bond
+        if mask >> root & 1 and mask & ~keep:  # without root the rest would lose a full rank
+            tops.append((mask & ~keep, ("G", simple[k1], simple[k2], a, b), bond))
+    for top, meta, bond in tops:
+        rest = mask & ~top
+        members = tuple(_bits(top))
         if not all(
-            base.pair_span_mask(members[x], members[y]) & mask & ~gmask
+            base.pair_span_mask(members[x], members[y]) & rest
             for x in range(len(members))
             for y in range(x + 1, len(members))
         ):
             continue
-        rest = mask & keep
-        view = restrict_mask(table, block)
-        assert all(  # rest is an ideal of the view
-            base.down_masks[i] & view.full_mask & ~rest == 0 for i in _bits(rest)
-        )
+        view = table
+        if bond is not None:
+            view = restrict_mask(table, bond)
+            assert all(  # rest is an ideal of the view
+                base.down_masks[i] & view.full_mask & ~rest == 0 for i in _bits(rest)
+            )
         sub = _rootideal_search(view, rest)
         if sub is not None:
-            meta = ("G", table.simple_positions[k1], table.simple_positions[k2], a, b)
-            return sub + ((gmask, meta),)
+            return sub + ((top, meta),)
     return None
 
 
@@ -278,13 +274,13 @@ def is_supersolvable_rootideal(ideal: Ideal) -> Optional[PartitionCertificate]:
     """Supersolvability via the root-ideal block structure.
 
     Same verdict as the generic search, but top-block candidates are only
-    the chain filters of simple roots and the bonded-pair complement
-    blocks; after the latter, and only there, the search continues inside
-    the rank-lowered root subsystem.  Candidates are tried in simple-root
-    order, filters before pair blocks.  Chain peeling tries the same
-    filters in the same order, and by the paper's theorem a remainder is
-    supersolvable iff it is peelable; so on a supersolvable ideal the
-    certificate is the peeling's, blocks and meta alike.
+    the filters of simple roots and the bonded-pair complement blocks;
+    after the latter, and only there, the search continues inside the
+    rank-lowered root subsystem.  Candidates are tried in simple-root
+    order, filters before pair blocks.  Each passes by the modular-coatom
+    test, never by peeling's chain test; by the paper's theorem a remainder
+    is supersolvable iff it is peelable, so on a supersolvable ideal the
+    certificate equals the peeling's, blocks and meta alike.
     """
     return _certificate("supersolving", _rootideal_search(ideal.system, ideal.mask))
 

@@ -27,7 +27,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from . import __version__
@@ -149,6 +148,8 @@ def run_survey(type_str: str, jobs: int = 1) -> dict:
     started = time.perf_counter()
     masks = [ideal.mask for ideal in enumerate_ideals(rs)]
     if jobs > 1:
+        # imported here, as it loads multiprocessing, which no serial run needs
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(
             max_workers=min(jobs, os.cpu_count() or 1, len(masks)),
             initializer=_worker_init, initargs=(type_str,)

@@ -32,6 +32,7 @@ from rootarr.classify import (
 )
 from rootarr.ideals import restrict_mask
 from rootarr.rootsystem import (
+    _bits,
     _echelon,
     _mask_of,
     _memo_table,
@@ -286,15 +287,51 @@ PEELING_TYPES = (
 
 @pytest.mark.parametrize("label", PEELING_TYPES)
 def test_rootideal_certificate_is_the_peeling(label):
-    # Both searches try the simple roots' filters in one order, and a
-    # remainder is supersolvable iff it is peelable, so they pick the same
-    # blocks on every supersolvable ideal.
+    # Both searches try the simple roots' filters in one order, peeling
+    # by the chain test and the fast path by the modular-coatom test.  A
+    # filter passes one test iff it passes the other, and a remainder is
+    # supersolvable iff it is peelable (the paper's theorem), so they pick
+    # the same blocks on every supersolvable ideal.
     rs = get_system(label)
     for ideal in enumerate_ideals(rs):
         fast, peel = is_supersolvable_rootideal(ideal), chain_peeling(ideal)
         assert (fast is None) == (peel is None)
         if peel is not None:
             assert (fast.blocks, fast.block_meta) == (peel.blocks, peel.block_meta)
+
+
+FILTER_LEMMA_TYPES = (
+    ["A3", "B3", "C3", "G2", "D4", "F4", "B4", "C4", "A5", "D5", "B5", "C5"]
+    + ["E6", "D6", "B6", "C6", "A6", "E7"]
+)
+
+
+@pytest.mark.parametrize("label", FILTER_LEMMA_TYPES)
+def test_a_filter_is_a_chain_iff_it_is_a_modular_coatom_complement(label):
+    # The rest of a simple root's filter is the ideal's part of the span of
+    # the other simple roots, a flat one rank lower.  That coatom is modular
+    # iff each pair of the filter spans a line that meets it.
+    rs = build_root_system(label)
+    for ideal in enumerate_ideals(rs):
+        for p in rs.simple_positions:
+            if not ideal.mask >> p & 1:
+                continue
+            top = ideal.mask & rs.up_masks[p]
+            rest = ideal.mask & ~top
+            modular = all(rs.pair_span_mask(x, y) & rest for x, y in combinations(_bits(top), 2))
+            assert rs.is_chain_mask(top) == modular, (label, ideal.coordinate_strings(), p)
+
+
+def _chain_test_read(mask):
+    raise AssertionError("the root-ideal fast path read is_chain_mask")
+
+
+@pytest.mark.parametrize("label", ["A5", "D5", "F4", "B4"])
+def test_rootideal_search_never_reads_the_chain_test(label, monkeypatch):
+    rs, plain = build_root_system(label), build_root_system(label)
+    monkeypatch.setattr(rs, "is_chain_mask", _chain_test_read)
+    for ideal, same in zip(enumerate_ideals(rs), enumerate_ideals(plain), strict=True):
+        assert is_supersolvable_rootideal(ideal) == is_supersolvable_rootideal(same)
 
 
 @pytest.mark.parametrize("label", ["A5", "B4", "D5", "F4"])
@@ -489,3 +526,16 @@ def test_a_shared_kernel_bug_breaks_equivalence(mutant, monkeypatch):
             except EquivalenceViolation:
                 return
     pytest.fail(f"no ideal of D4, F4 or B4 exposes the {mutant} mutant")
+
+
+@pytest.mark.parametrize("mutant", ["chains-always", "chains-never"])
+def test_a_chain_test_bug_splits_peeling_from_the_fast_path(mutant, monkeypatch):
+    # the fast path tests its filters for modularity, so a wrong chain test
+    # moves the peeling verdict alone
+    for label in ["D4", "F4", "B4"]:
+        rs = build_root_system(label)
+        KERNEL_MUTANTS[mutant](monkeypatch, rs)
+        for ideal in enumerate_ideals(rs):
+            if (chain_peeling(ideal) is None) != (is_supersolvable_rootideal(ideal) is None):
+                return
+    pytest.fail(f"the {mutant} mutant moves peeling and the fast path together")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import concurrent.futures
 import gc
 import hashlib
 import json
@@ -167,6 +168,8 @@ PINNED_SURVEYS = {
     "F4": "f207fd082258ac917e4c2e1c78048299e9bd7394b7f259ce04defc21a03b26c4",
     "B4": "6fd4c7405bc0b33a440131f5159d1f03c9cb2f0c2255653d601dd951818b0ab2",
     "D5": "7c87283e82ac49986ac57992033dd9c9bcc47d78cc4528baf7f8759df2b81014",
+    "A5": "b124b5600b2c77a75a8fb9ec3ef121657f25d09bdad1732996533c07f1177920",
+    "C4": "c6a5fbfb39dbf88054c03215db02f66441d85315630d6fcd4b5af92559783c65",
 }
 
 
@@ -212,7 +215,8 @@ class SerialPool:
     [(100000, 2, 2), (100000, None, 1), (3, 64, 3), (64, 64, 5)],  # A2 has 5 ideals
 )
 def test_survey_pool_is_bounded_by_cpus_and_ideals(monkeypatch, jobs, cpus, workers):
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    # run_survey imports the pool class when it needs one, from here
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
     monkeypatch.setattr(cli, "_WORKER_SYSTEM", None)
     monkeypatch.setattr(SerialPool, "sizes", [])
@@ -443,12 +447,13 @@ def test_version_flag(capsys):
     assert exc.value.code == 0
 
 
-def test_import_loads_no_dataclasses_fractions_or_inspect():
+def test_import_loads_no_dataclasses_fractions_inspect_or_multiprocessing():
     # every start compiles or loads these: dataclasses alone costs several
     # ms, and without site no other stdlib import of the package pulls
-    # them in
+    # them in; only a survey with --jobs above 1 loads multiprocessing
     src = Path(rootarr.__file__).resolve().parent.parent
-    probe = "import sys, rootarr.cli; print(*sorted({'dataclasses', 'fractions', 'inspect'} & set(sys.modules)))"
+    banned = "{'dataclasses', 'fractions', 'inspect', 'multiprocessing'}"
+    probe = f"import sys, rootarr.cli; print(*sorted({banned} & set(sys.modules)))"
     env = dict(os.environ, PYTHONPATH=str(src))
     done = subprocess.run(
         [sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True, check=True
