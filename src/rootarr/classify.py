@@ -29,7 +29,7 @@ from __future__ import annotations
 import shlex
 from typing import NamedTuple, Optional, Sequence
 
-from .rootsystem import RootSystem, _bits, _echelon, _memoized, format_root
+from .rootsystem import RootSystem, _bits, _echelon, _memoized, _root_names, format_root
 from .ideals import BadIdealWitness, Ideal, SubsystemView, bad_ideals, restrict_mask
 from .matroid import Arrangement
 
@@ -56,9 +56,7 @@ class PartitionCertificate(NamedTuple):
         return tuple(sorted(len(b) for b in self.blocks))
 
     def to_dict(self, system: RootSystem) -> dict:
-        def root(i: int) -> str:
-            return format_root(system, i)
-
+        root = _root_names(system).__getitem__
         metas = []
         for m in self.block_meta:
             if m is None:
@@ -321,10 +319,11 @@ class ClassificationRecord(NamedTuple):
     def to_dict(self, system: RootSystem) -> dict:
         bad = None
         if self.bad_ideal is not None:
+            names = _root_names(system)
             bad = {
                 "kind": self.bad_ideal.kind,
-                "simple_roots": [format_root(system, i) for i in self.bad_ideal.simple_roots],
-                "generators": [format_root(system, i) for i in self.bad_ideal.generators],
+                "simple_roots": [names[i] for i in self.bad_ideal.simple_roots],
+                "generators": [names[i] for i in self.bad_ideal.generators],
             }
         return {
             "ideal": list(self.ideal),

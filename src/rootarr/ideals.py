@@ -28,6 +28,7 @@ from .rootsystem import (
     _bond_blocks,
     _mask_of,
     _memoized,
+    _root_names,
     format_root,
     parse_root,
 )
@@ -102,7 +103,8 @@ class Ideal(_Frozen):
         return tuple(_bits(self.mask))
 
     def coordinate_strings(self) -> tuple[str, ...]:
-        return tuple(format_root(self.system, i) for i in self.members())
+        names = _root_names(self.system)
+        return tuple(names[i] for i in _bits(self.mask))
 
     def __contains__(self, idx: int) -> bool:
         return bool(self.mask >> idx & 1)

@@ -77,6 +77,39 @@ the highest root of the ground: for an ideal, m is then maximal and J an
 ideal decided earlier.  When the rooted walk meets a non-flat, the whole
 walk runs again, so the witness is the whole walk's.
 
+The same cases resume a walk when A_J is not line-closed.  Say the whole
+walk of A_J met only flats up to level k (it failed above k), and the
+m-rooted walk of A met only flats up to level k.  Then the whole walk of
+A meets only flats up to level k, and its level k is the states Y of
+A_J's level k with Y + m not a rooted state, plus the rooted states of
+level k.  First, a whole walk that meets no non-flat up to level k has
+every flat of rank k at level k: a rank-k flat F holds a flat S of rank
+k - 1, a state by induction from the lines, and a root v outside
+span(S); cl2(S + v) is a state (a skipped root regrows one), it lies in
+F and spans it, so as a flat it is F.  With S and F through m, the
+rooted walk's level k is likewise every rank-k flat through m.  Second,
+by the completeness argument above, a whole walk that passes level k
+leaves no 2-closed non-flat of rank <= k.  Now take a
+2-closed non-flat T of A of rank <= k, with closure Y.  If m is not in
+Y, then T lies in J, is 2-closed in A_J and is not a flat there (its
+closure there is Y again), which A_J's walk rules out.  If m is in T,
+case (2) gives a rooted non-flat of rank <= k.  If m is in Y but not in
+T, T is 2-closed in A_J and of rank <= k, hence a flat of A_J, and case
+(3) gives a rooted non-flat of rank <= k.  So A's whole walk passes
+level k, and its level k is every rank-k flat of A.  A rank-k flat of A
+without m is a flat of A_J that stays one in A, that is, a flat Y of A_J
+with m outside span(Y).  When m lies in span(Y), Y + m is a rank-k flat
+of A through m, a rooted state; when Y + m is a rooted state, it has the
+rank of Y, so m lies in span(Y).  So the filter is a set lookup, with
+no elimination.  The keys of A_J's states stay keys, as a key depends
+only on the span of its state.  The walk then steps on from level k;
+its witness depends only on the states of each level, never on their
+keys, so it is the whole walk's.  ``is_line_closed`` keeps the last
+passed level of each non-line-closed ground, bounded to the two most
+recent ground sizes, and resumes when J's entry is there and the rooted
+walk passes its level; otherwise the whole walk runs.  The lemma never
+assumes that A is not line-closed.
+
 The flatness test of a new state goes through a join memo on the system,
 kept in ``_memos``, filled lazily by ``_join``.  Each state S is held
 as its key alone: a mask of system roots that contains S and lies in
@@ -102,7 +135,8 @@ ground set, is the one line through both, and any two distinct roots of a
 line span it.  So the closure sweeps the lines of three or more roots,
 memoized per arrangement, until a sweep adds nothing.  It shares no code
 with the walk's growth from new roots (``_grow_two_closure``); both read
-only ``RootSystem.pair_span_mask``.
+only the system's pair-span table (``rootsystem._pair_spans``), which
+``RootSystem.pair_span_mask`` reads too.
 """
 
 from __future__ import annotations
@@ -111,7 +145,7 @@ import heapq
 from typing import Iterable, Iterator
 
 from .rootsystem import RootSystem, _bits, _echelon, _mask_of, _reduce, reflect
-from .rootsystem import _memo_table, _memoized
+from .rootsystem import _memo_table, _memoized, _pair_spans
 
 
 class Arrangement:
@@ -146,8 +180,9 @@ class Arrangement:
     @_memoized
     def _long_lines(self) -> tuple[int, ...]:
         """The lines (traced pair spans) of three or more roots, as sorted masks."""
-        system, g, gm = self.system, self.ground, self.ground_mask
-        lines = {system.pair_span_mask(i, j) & gm for a, i in enumerate(g) for j in g[a + 1 :]}
+        g, gm = self.ground, self.ground_mask
+        spans = _pair_spans(self.system, gm)
+        lines = {spans[i][j] & gm for a, i in enumerate(g) for j in g[a + 1 :]}
         return tuple(sorted(m for m in lines if m.bit_count() > 2))
 
     # -- 2-closure and line-closedness -------------------------------------
@@ -172,25 +207,55 @@ class Arrangement:
         minus its highest root m is line-closed, the walk is first seeded
         with the lines through m alone; the module docstring proves that
         the arrangement is then line-closed iff every state of that walk
-        is a flat.  Otherwise, or when the rooted walk meets a non-flat,
-        the whole walk runs, so the witness never depends on the table.
+        is a flat.  When the ground minus m is known not to be line-closed,
+        the whole walk resumes from the last level that the smaller
+        ground's walk passed (:func:`_keep_passed_level`) instead of
+        starting at the lines.  Otherwise, or when the rooted walk meets a
+        non-flat, the whole walk runs, so the witness never depends on the
+        tables.
         """
         return _line_closed(self.system, self.ground_mask, self)
 
     def _walk(self, seed: int) -> frozenset[int] | None:
         """The first 2-closed state that is not a flat, or None.
 
-        Walks the 2-closed states level by level in rank, starting from the
-        distinct pair spans that hold a root of ``seed``: all of them when
-        ``seed`` is the ground set, the lines through m when it is root m
-        (the module docstring proves when each is complete).  A rank-(k+1)
+        The walk from the lines through a root of ``seed`` (:meth:`_seed`)
+        up to the full rank (:meth:`_climb`): the whole walk when ``seed``
+        is the ground set, the walk rooted at m when it is root m.
+        """
+        return self._climb(self._seed(seed), 2, self.rank())[0]
+
+    def _seed(self, seed: int) -> dict[int, int]:
+        """The walk's rank-2 states: the distinct lines through a root of ``seed``.
+
+        Each maps to its key, its system pair span.  Two ground pairs on one
+        line span the same plane, so the key does not depend on the pair.
+        """
+        gm = self.ground_mask
+        spans = _pair_spans(self.system, gm)
+        level: dict[int, int] = {}
+        for i in _bits(seed):
+            row = spans[i]
+            for j in _bits(gm & ~(seed & (2 << i) - 1)):  # each pair once
+                level.setdefault(row[j] & gm, row[j])
+        return level
+
+    def _climb(
+        self, level: dict[int, int], k: int, top: int
+    ) -> tuple[frozenset[int] | None, int, dict[int, int]]:
+        """Step ``level``, the walk's states of rank ``k``, up to rank ``top``.
+
+        Returns ``(witness, j, passed)``: the first new state that is not a
+        flat, or None, and ``passed``, the last level the walk completed,
+        of rank j, with its keys.  Each step is one rank: a rank-(k+1)
         state is the 2-closure of a rank-k state plus one ground root
-        outside it, grown only from the new roots through a pair-span table
-        built for this call.  Per
-        parent, ``done`` collects the roots that ``_grow_two_closure``
-        proves would regrow a child already grown; they are skipped, as
-        they would only hit a state already in the next level, so the
-        states reached and their order are those of growing every root.
+        outside it, grown only from the new roots through the system's
+        pair-span table (``rootsystem._pair_spans``).  Per parent, ``done``
+        collects the roots that ``_grow_two_closure`` proves would regrow a
+        child already grown; they are skipped, as they would only hit a
+        state already in the next level, so the states reached and their
+        order are those of growing every root.  The whole, rooted and
+        resumed walks differ only in the ``level`` they start from.
 
         Each state maps to its key alone: a mask of system roots that
         contains the state and lies in its span; a rank-2 state's key is
@@ -200,19 +265,12 @@ class Arrangement:
         system's join memo entry ``(key, v)`` through ``_join``; the module
         docstring proves it.  Its key is ``key | cls``.  The witness is the
         first new state that is not a flat, in the order rank level, parent
-        mask, added root, so it is the same on every run, whatever the memo
-        already holds.
+        mask, added root, so it depends only on the states of ``level``,
+        never on their keys or on what the memo already holds.
         """
         system, g, gm = self.system, self.ground, self.ground_mask
-        pair = [[0] * system.nroots if gm >> i & 1 else [] for i in range(system.nroots)]
-        level: dict[int, int] = {}
-        for a, i in enumerate(g):
-            for j in g[a + 1 :]:
-                span = system.pair_span_mask(i, j)
-                pair[i][j] = pair[j][i] = span & gm
-                if (seed >> i | seed >> j) & 1:
-                    level.setdefault(span & gm, span)
-        for _ in range(3, self.rank() + 1):
+        pair = _pair_spans(system, gm)
+        while k < top:
             nxt: dict[int, int] = {}
             for state in sorted(level):
                 key, members = level[state], list(_bits(state))
@@ -220,16 +278,35 @@ class Arrangement:
                 for v in g:
                     if done >> v & 1:
                         continue
-                    grown, same = _grow_two_closure(pair, state, members, v)
+                    grown, same = _grow_two_closure(pair, gm, state, members, v)
                     done |= same
                     if grown in nxt:
                         continue
                     child_key = key | _join(system, key, v, gm, grown)
                     if child_key & gm != grown:
-                        return frozenset(_bits(grown))
+                        return frozenset(_bits(grown)), k, level
                     nxt[grown] = child_key
-            level = nxt
-        return None
+            level, k = nxt, k + 1
+        return None, k, level
+
+    def _resume(
+        self, root: int, k: int, below: dict[int, int]
+    ) -> tuple[frozenset[int] | None, int, dict[int, int]] | None:
+        """The whole walk's ``_climb`` from its level k, or None.
+
+        ``below`` is the level k that the whole walk of the ground minus
+        ``root`` (a one-bit mask) passed last.  The walk rooted at ``root``
+        runs up to level k; if it meets a non-flat there, None.  Otherwise
+        the whole walk's level k is the states of ``below`` whose union with
+        ``root`` is no rooted state, plus the rooted states (module
+        docstring), and the climb goes on from there.
+        """
+        witness, _, rooted = self._climb(self._seed(root), 2, k)
+        if witness is not None:
+            return None
+        level = {y: key for y, key in below.items() if y | root not in rooted}
+        level.update(rooted)
+        return self._climb(level, k, self.rank())
 
     def _two_closed_masks(self) -> Iterator[int]:
         """Every 2-closed subset as a mask, smallest first (oracle-grade).
@@ -316,15 +393,39 @@ def _line_closed(
     """``Arrangement.is_line_closed`` of ``arr``, whose ground mask is ``ground``.
 
     Memoized on the system, so its table holds every verdict reached so far;
-    the rooted walk reads only the entry of ground minus its highest root.
+    the rooted walk reads only the entry of ground minus its highest root,
+    and so does the resumed walk in the table of passed levels
+    (:func:`_keep_passed_level`).
     """
     if arr.rank() < 3:
         return True, None
     top = 1 << ground.bit_length() - 1
-    if _memo_table(system, _line_closed).get(ground ^ top, (False,))[0] and arr._walk(top) is None:
+    below = ground ^ top
+    if _memo_table(system, _line_closed).get(below, (False,))[0] and arr._walk(top) is None:
         return True, None
-    witness = arr._walk(ground)
+    passed = _memo_table(system, _keep_passed_level).get(below.bit_count(), {}).get(below)
+    climbed = arr._resume(top, *passed) if passed else None
+    witness, k, level = climbed or arr._climb(arr._seed(ground), 2, arr.rank())
+    if witness is not None:
+        _keep_passed_level(system, ground, k, level)
     return witness is None, witness
+
+
+def _keep_passed_level(system: RootSystem, ground: int, k: int, level: dict[int, int]) -> None:
+    """Keep the level k that the whole walk of a non-line-closed ground passed last.
+
+    The table, in ``system._memos``, maps ground size to ground mask to
+    ``(k, level)``.  It keeps only the two most recent ground sizes, as a
+    ground's walk resumes from a ground one root smaller; smallest first,
+    that is all a survey needs.  A missing entry only means a whole walk.
+    """
+    levels = _memo_table(system, _keep_passed_level)
+    size = ground.bit_count()
+    if size not in levels:
+        levels[size] = {}
+        if len(levels) > 2:
+            del levels[next(iter(levels))]
+    levels[size][ground] = k, level
 
 
 def _sweep_lines(lines: tuple[int, ...], mask: int) -> int:
@@ -340,18 +441,19 @@ def _sweep_lines(lines: tuple[int, ...], mask: int) -> int:
 
 
 def _grow_two_closure(
-    pair: list[list[int]], state: int, members: list[int], v: int
+    pair: list[list[int]], ground: int, state: int, members: list[int], v: int
 ) -> tuple[int, int]:
     """The 2-closure of a 2-closed ``state`` (bits ``members``) plus root ``v``.
 
-    ``pair[x][y]`` is the trace of the span of roots x and y on the ground
-    set.  Pairs inside ``state`` are already closed, so only pairs with a
-    newly added root are examined.  Returns ``(grown, same)``: ``same``
-    holds v and roots outside ``state`` that lie on a line through a root
-    already in ``same`` and a root of ``state``, so the 2-closure of
-    ``state`` plus any w in it is ``grown`` (module docstring).  It need
-    not hold every such root: lines are followed only from roots that join
-    ``same`` before the growth visits them.
+    ``pair[x][y]`` is the system span of roots x and y, for x and y in the
+    mask ``ground``; its trace on ``ground`` is the line through them.
+    Pairs inside ``state`` are already closed, so only pairs with a newly
+    added root are examined.  Returns ``(grown, same)``: ``same`` holds v
+    and roots outside ``state`` that lie on a line through a root already
+    in ``same`` and a root of ``state``, so the 2-closure of ``state`` plus
+    any w in it is ``grown`` (module docstring).  It need not hold every
+    such root: lines are followed only from roots that join ``same`` before
+    the growth visits them.
     """
     out = state | 1 << v
     same = 1 << v
@@ -362,10 +464,10 @@ def _grow_two_closure(
         for y in members:
             acc |= row[y]
         if same >> x & 1:
-            same |= acc & ~state
+            same |= acc & ground & ~state
         for y in new:
             acc |= row[y]
-        add = acc & ~out
+        add = acc & ground & ~out
         if add:
             out |= add
             new.extend(_bits(add))

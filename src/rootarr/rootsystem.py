@@ -455,23 +455,45 @@ class RootSystem:
         """Mask of positive roots in the rational span of roots i and j.
 
         Distinct positive roots are never parallel, so the span is a plane;
-        membership is decided exactly.  Memoized.
+        membership is decided exactly.  Read from the system's one pair-span
+        table (:func:`_pair_spans`), filled on first use.
         """
-        if i > j:
-            i, j = j, i
         if i == j:
             raise ValueError("pair span needs two distinct roots")
-        return _pair_plane(self, (i, j))
+        return _pair_table(self)[0][i][j] or _pair_spans(self, 1 << i | 1 << j)[i][j]
 
     def __repr__(self) -> str:
         return f"RootSystem({self.label}, {self.nroots} positive roots)"
 
 
 @_memoized
-def _pair_plane(system: RootSystem, pair: tuple[int, int]) -> int:
-    """``pair_span_mask`` of an ordered pair of distinct roots."""
-    i, j = pair
-    return _span_mask(_echelon((system.coords[i], system.coords[j])), system.coords)
+def _pair_table(system: RootSystem) -> tuple[list[list[int]], list[int]]:
+    """The system's pair-span table ``spans`` and its fill record ``known``.
+
+    ``spans[i][j]`` is ``pair_span_mask(i, j)`` once bit j of ``known[i]``
+    is set, and 0 before: a span holds its two roots, so it is never 0.
+    The diagonal stays 0.
+    """
+    n = system.nroots
+    return [[0] * n for _ in range(n)], [0] * n
+
+
+def _pair_spans(system: RootSystem, ground: int) -> list[list[int]]:
+    """The system's pair-span table, with every pair of roots of ``ground`` filled.
+
+    A missing span is filled by elimination: the roots that reduce to zero
+    against the echelon rows of the pair.  Entries are system masks, not
+    traced on ``ground``, so one table serves every ground set.
+    """
+    spans, known = _pair_table(system)
+    coords = system.coords
+    for i in _bits(ground):
+        todo = ground & ~known[i] & ~(1 << i)
+        for j in _bits(todo):
+            spans[i][j] = spans[j][i] = _span_mask(_echelon((coords[i], coords[j])), coords)
+            known[j] |= 1 << i
+        known[i] |= todo
+    return spans
 
 
 def build_root_system(label: TypeLabel | str) -> RootSystem:
@@ -526,9 +548,15 @@ def parse_root(rs: RootSystem, text: str) -> int:
     return idx
 
 
+@_memoized
+def _root_names(rs: RootSystem) -> tuple[str, ...]:
+    """The coordinate string of every root, in index order."""
+    return tuple(
+        "".join(map(str, v)) if all(x <= 9 for x in v) else ",".join(map(str, v))
+        for v in rs.coords
+    )
+
+
 def format_root(rs: RootSystem, idx: int) -> str:
     """Format a root index as its coordinate string."""
-    v = rs.coords[idx]
-    if all(x <= 9 for x in v):
-        return "".join(str(x) for x in v)
-    return ",".join(str(x) for x in v)
+    return _root_names(rs)[idx]

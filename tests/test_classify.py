@@ -36,7 +36,7 @@ from rootarr.rootsystem import (
     _echelon,
     _mask_of,
     _memo_table,
-    _pair_plane,
+    _pair_spans,
     _reduce,
     build_root_system,
 )
@@ -454,10 +454,10 @@ def test_exponent_multisets_agree_between_certificates():
 
 
 def _install_planes(rs, mutate) -> None:
-    """Replace every memoized pair span of ``rs`` by ``mutate(pair, span)``."""
-    table = _memo_table(rs, _pair_plane)
-    for pair in combinations(range(rs.nroots), 2):
-        table[pair] = mutate(pair, _pair_plane(rs, pair))
+    """Replace every pair span in the table of ``rs`` by ``mutate(pair, span)``."""
+    spans = _pair_spans(rs, rs.full_mask)
+    for i, j in combinations(range(rs.nroots), 2):
+        spans[i][j] = spans[j][i] = mutate((i, j), spans[i][j])
 
 
 def _drop_long_line_tops(pair, span):

@@ -9,7 +9,9 @@ the Whitney subset sum for the characteristic polynomial, a level search
 over closures for the system flat lattice and another for the flats of a
 subarrangement, the W-orbit search with reflections applied as
 permutations bit by bit, the line-closedness walk without its skip of
-roots known to regrow a child (its witnesses must not change), Bell
+roots known to regrow a child (its witnesses must not change), a fresh
+system's whole walk for the resumed walk (its witness and the level it
+passed last), Bell
 numbers, the classical exponents of the Weyl groups, the ideal exponents
 (the dual partition of an ideal's height distribution), and witness
 identities checked with direct vector arithmetic.
@@ -27,7 +29,7 @@ from itertools import combinations
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from rootarr import Arrangement, Ideal, build_root_system, enumerate_ideals, matroid, parse_root
+from rootarr import Arrangement, Ideal, build_root_system, cli, enumerate_ideals, matroid, parse_root
 from rootarr.matroid import _grow_two_closure, _join, _system_flats
 from rootarr.rootsystem import _bits, _echelon, _mask_of, _memo_table, _reduce, _span_mask, reflect
 from rootarr.suites import poly_from_block_sizes
@@ -564,11 +566,11 @@ def test_rank_closure_and_two_closure_match_brute_force(case, data):
 
 
 def pair_table(arr: Arrangement) -> list[list[int]]:
-    """The walk's table: ``pair[x][y]`` is the line through ground roots x and y."""
+    """The walk's table: ``pair[x][y]`` is the system span of ground roots x and y."""
     n = arr.system.nroots
     pair = [[0] * n for _ in range(n)]
     for x, y in combinations(arr.ground, 2):
-        pair[x][y] = pair[y][x] = arr.system.pair_span_mask(x, y) & arr.ground_mask
+        pair[x][y] = pair[y][x] = arr.system.pair_span_mask(x, y)
     return pair
 
 
@@ -587,11 +589,11 @@ def test_grow_two_closure_same_roots_regrow_the_child(case):
         for v in arr.ground:
             if state >> v & 1:
                 continue
-            grown, same = _grow_two_closure(pair, state, members, v)
+            grown, same = _grow_two_closure(pair, arr.ground_mask, state, members, v)
             assert grown == arr.two_closure_mask(state | 1 << v)
             assert same >> v & 1 and same & ~grown == 0 and same & state == 0
             for w in _bits(same):
-                assert _grow_two_closure(pair, state, members, w)[0] == grown
+                assert _grow_two_closure(pair, arr.ground_mask, state, members, w)[0] == grown
 
 
 @pytest.mark.parametrize("label", ["D4", "F4", "D5", "A5", "B4"])
@@ -650,6 +652,103 @@ def test_rooted_walk_changes_no_verdict_or_witness(label, rooted, monkeypatch):
     lower = {m: down[m ^ 1 << m.bit_length() - 1][0] for m in masks if m}
     assert taken == [m for m in masks if Arrangement(small, _bits(m)).rank() > 2 and lower[m]]
     assert len(taken) == rooted
+
+
+def whole_walk(label: str, ground) -> tuple[frozenset[int] | None, int, set[int]]:
+    """A fresh system's whole walk: its witness, and the rank and states of its last passed level."""
+    arr = Arrangement(build_root_system(label), ground)
+    witness, k, level = arr._climb(arr._seed(arr.ground_mask), 2, arr.rank())
+    return witness, k, set(level)
+
+
+def kept_level(rs, ground: int) -> tuple[int, set[int]] | None:
+    """The rank and states of the level kept for ``ground`` in the table of ``rs``, if any."""
+    kept = _memo_table(rs, matroid._keep_passed_level).get(ground.bit_count(), {}).get(ground)
+    return kept and (kept[0], set(kept[1]))
+
+
+def record_resumes(monkeypatch) -> list[tuple[int, bool]]:
+    """Record each resume attempt as (ground mask, whether the walk resumed)."""
+    resumes = []
+    resume = Arrangement._resume
+
+    def recorded(arr, root, k, below):
+        climbed = resume(arr, root, k, below)
+        resumes.append((arr.ground_mask, climbed is not None))
+        return climbed
+
+    monkeypatch.setattr(Arrangement, "_resume", recorded)
+    return resumes
+
+
+@st.composite
+def root_chains(draw):
+    """A type among D4, F4, B4, A5 and D5 and 4 to 14 of its roots, sorted."""
+    label = draw(st.sampled_from(["D4", "F4", "B4", "A5", "D5"]))
+    n = get_system(label).nroots
+    size = draw(st.integers(4, min(14, n)))
+    return label, sorted(draw(st.permutations(range(n)))[:size])
+
+
+def test_resumed_walk_matches_a_fresh_whole_walk_on_random_subsets(monkeypatch):
+    # the matroid docstring's resume lemma, on sets that are rarely ideals:
+    # the prefixes of the ground are decided in index order on one system,
+    # so each prefix's ground minus its highest root is decided first.
+    # Verdict, witness and the kept level are a fresh whole walk's.
+    resumes = record_resumes(monkeypatch)
+    verdicts = []
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(root_chains())
+    def check(case):
+        label, ground = case
+        rs = build_root_system(label)
+        for end in range(1, len(ground) + 1):
+            arr = Arrangement(rs, ground[:end])
+            ok, witness = arr.is_line_closed()
+            fresh = whole_walk(label, ground[:end])
+            assert (ok, witness) == (fresh[0] is None, fresh[0])
+            if not ok:
+                assert kept_level(rs, arr.ground_mask) == fresh[1:]
+            verdicts.append(ok)
+
+    check()
+    assert True in verdicts and False in verdicts
+    assert any(resumed for _, resumed in resumes)
+
+
+@pytest.mark.parametrize("label, resumed", [("D4", 2), ("F4", 21), ("D5", 22)])
+def test_resumed_walk_changes_no_verdict_or_witness(label, resumed, monkeypatch):
+    # smallest first, an ideal's subideal J without its highest root is
+    # decided first, and when J is not line-closed the walk resumes from
+    # J's kept level, unless the rooted walk meets a non-flat by then;
+    # largest first it never does.  Both orders and a fresh system per
+    # ideal give the same verdicts and witnesses, and every kept level is
+    # the one a fresh whole walk passed last.
+    resumes = record_resumes(monkeypatch)
+    masks = [ideal.mask for ideal in enumerate_ideals(get_system(label))]
+    small, large = build_root_system(label), build_root_system(label)
+    down = {m: Arrangement(large, _bits(m)).is_line_closed() for m in reversed(masks)}
+    assert resumes == []
+    up = {}
+    for m in masks:
+        up[m] = Arrangement(small, _bits(m)).is_line_closed()
+        if not up[m][0]:
+            assert kept_level(small, m) == whole_walk(label, _bits(m))[1:]
+    fresh = {m: Arrangement(build_root_system(label), _bits(m)).is_line_closed() for m in masks}
+    assert up == down == fresh
+    assert len(resumes) == len(set(resumes))
+    assert sum(resumed for _, resumed in resumes) == resumed
+
+
+def test_kept_levels_hold_two_ground_sizes_after_an_e6_survey(monkeypatch):
+    # the table of passed levels is bounded: it keeps the two most recent
+    # ground sizes, which is all a smallest-first survey reads
+    rs = build_root_system("E6")
+    monkeypatch.setattr(cli, "_load_system", lambda type_str: rs)
+    report = cli.run_survey("E6")
+    assert report["equivalence_ok"] and report["summary"]["line_closed"] < report["ideal_count"]
+    assert 0 < len(_memo_table(rs, matroid._keep_passed_level)) <= 2
 
 
 @pytest.mark.parametrize("label", ["D5", "F4"])
