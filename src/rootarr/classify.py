@@ -6,14 +6,32 @@ Four predicates are computed independently for every ideal and must agree:
   order filter that is a chain through a minimal element (a memoized
   backtracking search over which minimal element to peel);
 * supersolvability, decided twice: by a generic matroid search over
-  modular coatom flats, and by the root-ideal fast path whose top-block
-  candidates are restricted to filters of simple roots and to the
+  modular coatoms, found from lines, and by the root-ideal fast path whose
+  top-block candidates are restricted to filters of simple roots and to the
   bonded-pair complement blocks, each tested for modularity and never by
   the chain test, recursing into root subsystems after the latter;
 * line-closedness of the arrangement;
 * absence of the two minimal obstructions (star configuration / the F4
   height<=4 ideal): one scan of the system's ``ideals.bad_ideals`` table,
   which reads neither the order masks nor the chain test.
+
+The generic search never builds the flat lattice.  Let X be a modular
+coatom of the arrangement on ground G and a a root outside X.  A line L
+through a (a pair span traced on G) is not inside X, so L & X has rank
+at most one, and it is not empty: for b on L outside X, the pair a, b
+spans a line that meets X.  So X meets each line through a in exactly
+one root, and as every other root lies on one such line, X is the union
+of those roots.  ``_modular_coatoms`` fixes a = min(G - X), so the roots
+below a are forced into X, and branches on the root picked on the first
+line not yet met, closing the set under lines after each pick.  On X's
+own picks the set stays inside X, which is 2-closed: a never enters it
+and no line is met twice (the prunes), and the leaf is X.  So every
+modular coatom is reached, and once: a is fixed by X, and two branches
+differ in the root they pick on one line.  A leaf x is accepted iff a is
+not in span(x) and each pair of G - x spans a line that meets x.  Then x
+is a coatom: every other root b lies in span(a, c) for some c in x, so
+x + a spans G, and b is not in span(x), else a would be.  The pair test
+is then the modular-coatom test.
 
 Each search returns its blocks bottom-up as (block mask, meta) pairs, with
 meta as in ``PartitionCertificate.block_meta``, and ``_certificate`` turns
@@ -26,10 +44,10 @@ independent algebraic computation.
 
 from __future__ import annotations
 
-import shlex
-from typing import NamedTuple, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
-from .rootsystem import RootSystem, _bits, _echelon, _memoized, _root_names, format_root
+from .rootsystem import RootSystem, _bits, _echelon, _memoized, _reduce, _root_names, format_root
+from .rootsystem import _pair_spans
 from .ideals import BadIdealWitness, Ideal, SubsystemView, bad_ideals, restrict_mask
 from .matroid import Arrangement
 
@@ -151,44 +169,105 @@ def _arr(system: RootSystem, mask: int) -> Arrangement:
 
 
 @_memoized
-def _generic_search(
-    system: RootSystem, mask: int, rank: int, flats: Sequence[tuple[int, int]]
-) -> _Found:
+def _generic_search(system: RootSystem, mask: int, spans: list[list[int]]) -> _Found:
     """Coatom complements with meta None, bottom-up, or None; memoized on ``mask``.
 
-    ``flats`` holds every flat on ``mask``, maybe more, as (mask, rank)
-    pairs in (rank, mask) order.  The flats of a matroid restricted to a
-    flat X are its flats inside X, so a coatom's search reads the same
-    list; it builds nothing.  So ``rank`` and the flats the search reads
-    are fixed by ``mask``.
+    ``spans`` is the system's pair-span table, filled on ``mask`` and so on
+    every coatom, whose search reads it too.
     """
     if mask == 0:
         return ()
-    for fm, fr in flats:
-        if fr != rank - 1 or fm & ~mask:
-            continue
-        pi = mask & ~fm
-        members = list(_bits(pi))
-        if not all(
-            system.pair_span_mask(members[a], members[b]) & fm
-            for a in range(len(members))
-            for b in range(a + 1, len(members))
-        ):
-            continue
-        sub = _generic_search(system, fm, rank - 1, flats)
+    for x in _modular_coatoms(spans, system.coords, mask):
+        sub = _generic_search(system, x, spans)
         if sub is not None:
-            return sub + ((pi, None),)
+            return sub + ((mask & ~x, None),)
     return None
+
+
+def _modular_coatoms(spans: list[list[int]], coords: Sequence, ground: int) -> Iterator[int]:
+    """Every modular coatom of the arrangement on ``ground``, once each, as a mask.
+
+    For each root a of the ground, lowest first, the coatoms X with
+    a = min(ground - X), from the lines through a (module docstring).
+    ``spans`` is a pair-span table filled on ``ground``.
+    """
+    below = 0  # the 2-closure of the ground roots below a
+    for a in _bits(ground):
+        bit = 1 << a
+        if below & bit:
+            continue
+        row, rest = spans[a], ground ^ bit
+        lines, left = [], rest
+        while left:
+            low = left & -left
+            lines.append(row[low.bit_length() - 1] & rest)
+            left &= ~(lines[-1] | low)
+        for x in _line_picks(spans, ground, bit, lines, below):
+            if _pairs_meet(spans, list(_bits(rest & ~x)), x) and any(
+                _reduce(_echelon(coords[i] for i in _bits(x)), coords[a])
+            ):
+                yield x
+        below = _close_lines(spans, ground, below, bit)
+
+
+def _line_picks(
+    spans: list[list[int]], ground: int, bit: int, lines: list[int], state: int
+) -> Iterator[int]:
+    """The 2-closed supersets of ``state`` without ``bit`` that meet each line once.
+
+    ``lines`` are the lines through root ``bit``, without it; ``state`` is
+    2-closed.  Branches on the roots of the first line not yet met.
+    """
+    if state & bit:
+        return
+    open_line = 0
+    for line in lines:
+        met = line & state
+        if met & met - 1:
+            return
+        if not (met or open_line):
+            open_line = line
+    if not open_line:
+        yield state
+    for b in _bits(open_line):
+        grown = _close_lines(spans, ground, state, 1 << b)
+        yield from _line_picks(spans, ground, bit, lines, grown)
+
+
+def _close_lines(spans: list[list[int]], ground: int, state: int, add: int) -> int:
+    """The 2-closure in ``ground`` of a 2-closed ``state`` plus the roots of ``add``."""
+    out, members = state | add, list(_bits(state))
+    new = list(_bits(add))
+    for x in new:  # also visits the roots appended below
+        row, acc = spans[x], 0
+        for y in members:
+            acc |= row[y]
+        members.append(x)
+        grown = acc & ground & ~out
+        if grown:
+            out |= grown
+            new.extend(_bits(grown))
+    return out
+
+
+def _pairs_meet(spans: list[list[int]], members: list[int], x: int) -> bool:
+    """Whether each pair of ``members`` spans a line that meets ``x``."""
+    return all(
+        spans[members[i]][members[j]] & x
+        for i in range(len(members))
+        for j in range(i + 1, len(members))
+    )
 
 
 def is_supersolvable_generic(arr: Arrangement) -> Optional[PartitionCertificate]:
     """Type-agnostic supersolvability: search over modular coatom flats.
 
-    Valid for any arrangement; the top block is the complement of a coatom
-    flat met by the pair-closure of each of the block's pairs, recursing on
-    the flat.  Deterministic: coatoms are tried in flat order.
+    Valid for any arrangement; the top block is the complement of a
+    modular coatom, recursing on the coatom.  Deterministic: coatoms are
+    tried in the order ``_modular_coatoms`` yields them.
     """
-    found = _generic_search(arr.system, arr.ground_mask, arr.rank(), arr.flats())
+    system, ground = arr.system, arr.ground_mask
+    found = _generic_search(system, ground, _pair_spans(system, ground))
     return _certificate("supersolving", found)
 
 
@@ -350,6 +429,8 @@ def _classify_command(ideal: Ideal) -> str:
 
     The ideal is named by its maximal roots, in root order.
     """
+    import shlex  # here, as only a disagreement needs it
+
     system, mask = ideal.system, ideal.mask
     top = [format_root(system, i) for i in _bits(mask) if system.up_masks[i] & mask == 1 << i]
     return f"rootarr classify --type {system.label} --ideal {shlex.quote(','.join(top))}"

@@ -211,7 +211,7 @@ def cmd_survey(args) -> int:
         _err(
             f"{label} has rank {label.rank}; surveys default to rank <= 6 "
             "(pass --force if you really want this; E7 has 4160 ideals, E8 25080; "
-            "on a shared 2-vCPU VM a serial E7 survey took 154 CPU s, under 3 minutes)"
+            "on a shared 2-vCPU VM a serial E7 survey took 17 CPU s)"
         )
         return 2
     if args.format == "csv" and args.out and Path(args.out).suffix.lower() == ".csv":

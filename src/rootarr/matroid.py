@@ -10,10 +10,10 @@ as the W-orbits of the standard parabolic flats (``_system_flats``, which
 argues its completeness); the flats of a subarrangement are their traces
 on its ground set, and the rank of each trace is read off the order of the
 system flats, again without elimination (``Arrangement.flats`` argues
-it); both lists hold (mask, rank) pairs in (rank, mask) order.
-Line-closedness, chain peeling and the root-ideal supersolvability search
-do not read these flats, so only the generic supersolvability search and
-the characteristic polynomial depend on them.
+it); both lists hold (mask, rank) pairs in (rank, mask) order.  No
+classification route reads these flats (the generic supersolvability
+search finds its coatoms from lines), so only the characteristic
+polynomial depends on them.
 
 An arrangement is line-closed iff every 2-closed subset is a flat, and
 this is decided by a walk over 2-closed states, level by level in rank.

@@ -491,10 +491,21 @@ def _simple_filters_without_lowest_root(rs) -> tuple[int, ...]:
     return tuple(up)
 
 
+def _close_with_next_root(mp) -> None:
+    """Let the generic search's closure under lines also take the root after each pick."""
+    close = classify._close_lines
+    mp.setattr(
+        classify,
+        "_close_lines",
+        lambda spans, ground, state, add: close(spans, ground, state, add | add << 1 & ground),
+    )
+
+
 # Each installs a plausible bug in one kernel the routes share, on one system
 # or, for the elimination kernels, in every module that binds them.  The last
-# is the line-closedness route's own shortcut: it trusts a line-closed
-# subideal without the rooted walk.
+# three break one route's own code: the line-closedness route trusts a
+# line-closed subideal without the rooted walk; the generic search accepts
+# coatoms that are not modular, or prunes modular ones.
 KERNEL_MUTANTS = {
     "chains-always": lambda mp, rs: mp.setattr(rs, "is_chain_mask", lambda mask: True),
     "chains-never": lambda mp, rs: mp.setattr(rs, "is_chain_mask", lambda mask: False),
@@ -511,6 +522,8 @@ KERNEL_MUTANTS = {
         rs, "up_masks", _simple_filters_without_lowest_root(rs)
     ),
     "rooted-walk-trusts-subideal": lambda mp, rs: _trust_line_closed_subideals(mp),
+    "pair-test-skipped": lambda mp, rs: mp.setattr(classify, "_pairs_meet", lambda *args: True),
+    "closure-takes-the-next-root": lambda mp, rs: _close_with_next_root(mp),
 }
 
 

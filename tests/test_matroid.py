@@ -8,7 +8,10 @@ Independent oracles: a Fraction-based Gaussian rank function written here,
 the Whitney subset sum for the characteristic polynomial, a level search
 over closures for the system flat lattice and another for the flats of a
 subarrangement, the W-orbit search with reflections applied as
-permutations bit by bit, the line-closedness walk without its skip of
+permutations bit by bit, the lattice search that the generic
+supersolvability search replaced (coatoms read off the system flat
+lattice) and modularity by the rank equality against every flat, the
+line-closedness walk without its skip of
 roots known to regrow a child (its witnesses must not change), a fresh
 system's whole walk for the resumed walk (its witness and the level it
 passed last), Bell
@@ -30,8 +33,11 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from rootarr import Arrangement, Ideal, build_root_system, cli, enumerate_ideals, matroid, parse_root
+from rootarr import classify_ideal, is_supersolvable_generic
+from rootarr.classify import _modular_coatoms
 from rootarr.matroid import _grow_two_closure, _join, _system_flats
-from rootarr.rootsystem import _bits, _echelon, _mask_of, _memo_table, _reduce, _span_mask, reflect
+from rootarr.rootsystem import _bits, _echelon, _mask_of, _memo_table, _pair_spans, _reduce
+from rootarr.rootsystem import _span_mask, reflect
 from rootarr.suites import poly_from_block_sizes
 from conftest import f4_height4_mask, get_system
 
@@ -937,3 +943,106 @@ def test_chi_matches_whitney_sum_d4():
     for members in (star_ideal(rs).members(), tuple(range(12))):
         arr = Arrangement(rs, members)
         assert arr.characteristic_polynomial() == whitney_chi(arr)
+
+
+# -- the generic search's modular coatoms -------------------------------------------------
+
+
+def lattice_search(system, mask: int, rank: int, flats, memo: dict):
+    """The generic search over the flat lattice: block sizes bottom-up, or None.
+
+    ``flats`` holds every flat on ``mask`` as (mask, rank) pairs in (rank,
+    mask) order; a coatom is modular iff every pair of its complement spans
+    a line that meets it.  Memoized in ``memo`` on ``mask``.
+    """
+    if mask == 0:
+        return ()
+    if mask not in memo:
+        memo[mask] = None
+        for fm, fr in flats:
+            if fr != rank - 1 or fm & ~mask:
+                continue
+            out = list(_bits(mask & ~fm))
+            if all(system.pair_span_mask(b, c) & fm for b, c in combinations(out, 2)):
+                sub = lattice_search(system, fm, rank - 1, flats, memo)
+                if sub is not None:
+                    memo[mask] = sub + (len(out),)
+                    break
+    return memo[mask]
+
+
+def check_against_lattice_search(rs, ideals) -> int:
+    """Equal verdicts and block sizes on each ideal; returns the supersolvable count."""
+    supersolvable = 0
+    for ideal in ideals:
+        arr = Arrangement(rs, ideal.members())
+        slow = lattice_search(rs, arr.ground_mask, arr.rank(), arr.flats(), {})
+        cert = is_supersolvable_generic(arr)
+        assert (cert is None) == (slow is None), ideal.coordinate_strings()
+        if cert is not None:
+            assert cert.block_sizes() == tuple(sorted(slow)), ideal.coordinate_strings()
+            supersolvable += 1
+    return supersolvable
+
+
+@pytest.mark.parametrize(
+    "label", ["A3", "B3", "C3", "G2", "D4", "F4", "A5", "B4", "C4", "D5", "B5", "E6"]
+)
+def test_generic_search_matches_the_lattice_search(label):
+    rs = get_system(label)
+    check_against_lattice_search(rs, enumerate_ideals(rs))
+
+
+def test_generic_search_matches_the_lattice_search_on_an_e7_sample():
+    rs = build_root_system("E7")
+    sample = random.Random(7).sample(list(enumerate_ideals(rs)), 60)
+    assert 0 < check_against_lattice_search(rs, sample) < 60
+
+
+def modular_by_definition(arr: Arrangement) -> set[int]:
+    """The coatoms X with r(X) + r(Y) = r(X v Y) + r(X ^ Y) for every flat Y."""
+    flats = arr.flats()
+    rank = dict(flats)
+    coords = arr.system.coords
+    r = arr.rank()
+    return {
+        x
+        for x, rx in flats
+        if rx == r - 1
+        and all(
+            rx + ry == len(_echelon(coords[i] for i in _bits(x | y))) + rank[x & y]
+            for y, ry in flats
+        )
+    }
+
+
+def test_modular_coatoms_are_those_of_the_rank_equality():
+    # random subsets are rarely ideals, so no other route vouches for the
+    # generic search there
+    counts = []
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(root_subsets())
+    def check(case):
+        label, ground = case
+        arr = Arrangement(get_system(label), ground)
+        spans = _pair_spans(arr.system, arr.ground_mask)
+        found = list(_modular_coatoms(spans, arr.system.coords, arr.ground_mask))
+        assert len(found) == len(set(found))
+        assert set(found) == modular_by_definition(arr)
+        counts.append(len(found))
+
+    check()
+    assert 0 in counts and max(counts) > 1
+
+
+@pytest.mark.parametrize(
+    "label, generators",
+    [("E7", "0000001,0000110,1011100,1111000"), ("E8", "01121110,01122100,10111111,11221100")],
+)
+def test_classify_builds_no_system_flat_lattice(label, generators):
+    # a supersolvable E7 ideal and an E8 ideal that is not; E8's lattice
+    # would hold 5.5 million flats
+    rs = build_root_system(label)
+    classify_ideal(Ideal.parse(rs, generators))
+    assert matroid._system_flats not in rs._memos
