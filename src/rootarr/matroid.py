@@ -44,71 +44,56 @@ and the witness are those of growing every root.  A direct
 smallest-first enumeration of all 2-closed subsets, with its own
 from-scratch 2-closure, is kept alongside as an independent oracle.
 
-The walk may also be rooted at one ground root m: seeded with the lines
-through m alone, its states are the 2-closed flats through m that it
-reaches, and a non-flat it meets is a witness.  Let J be the ground minus
-m.  If A_J is line-closed, then A is line-closed iff every state of the
-m-rooted walk is a flat, so the rooted walk alone decides A.  Let T be
-a 2-closed non-flat of A, of rank k, with closure Y.  T is 2-closed in
-A_J too, since a line of A_J lies in a line of A.
-(1) m not in Y.  Then T is a flat of A_J, T = J & span(T), and m is not
-in span(T), so T is a flat of A: impossible.
-(2) m in T.  Extend m to a basis B = m, b2, .., bk of T.  cl2(B) lies in
-T, and its closure is that of T, which exceeds T, so cl2(B) is not a
-flat.  As for the whole walk, take the shortest prefix of B whose
-2-closure is not a flat: cl2(m, b2) is a seed line, and each shorter
-prefix's 2-closure is a flat through m, hence a rooted state, so the
-rooted walk meets a non-flat.
-(3) m in Y but not in T.  T is a flat of A_J, so Y = T + m and m lies in
-span(T).  No line through m in Y holds two roots of T, which is 2-closed,
-so every such line holds exactly two roots.  Write m over a basis
-t1, .., tk of T and drop a t_i of nonzero coefficient: m is outside the
-span of the remaining k - 1 roots t.  Then cl2(t) lies in T, and adding m
-meets no line of three roots, so C = cl2(m, t) = {m} + cl2(t), of rank
-k.  If every rooted state is a flat, then C is one (by (2)'s prefix
-argument, a rooted state or a walk that met a non-flat first), and a
-flat of rank k inside Y is Y itself, so T lies in cl2(t), whose rank is
-k - 1: impossible.
-So every 2-closed non-flat makes the rooted walk meet a non-flat, and
-conversely every state the rooted walk meets is 2-closed, so flatness
-is the only test its states need.  ``is_line_closed`` uses
-this when its per-system table already holds J's verdict, true, for m
-the highest root of the ground: for an ideal, m is then maximal and J an
-ideal decided earlier.  When the rooted walk meets a non-flat, the whole
-walk runs again, so the witness is the whole walk's.
-
-The same cases resume a walk when A_J is not line-closed.  Say the whole
-walk of A_J met only flats up to level k (it failed above k), and the
-m-rooted walk of A met only flats up to level k.  Then the whole walk of
-A meets only flats up to level k, and its level k is the states Y of
-A_J's level k with Y + m not a rooted state, plus the rooted states of
-level k.  First, a whole walk that meets no non-flat up to level k has
+A walk may also resume from the walk of a smaller ground.  Let m be a
+ground root and J the ground minus m.  The walk rooted at m, seeded with
+the lines through m alone, has as states the 2-closed flats through m
+that it reaches, and a non-flat it meets is a witness.  Say the whole
+walk of A_J met only flats up to level k, and so did the m-rooted walk
+of A.  First, a whole walk that meets no non-flat up to level k has
 every flat of rank k at level k: a rank-k flat F holds a flat S of rank
 k - 1, a state by induction from the lines, and a root v outside
 span(S); cl2(S + v) is a state (a skipped root regrows one), it lies in
 F and spans it, so as a flat it is F.  With S and F through m, the
 rooted walk's level k is likewise every rank-k flat through m.  Second,
 by the completeness argument above, a whole walk that passes level k
-leaves no 2-closed non-flat of rank <= k.  Now take a
-2-closed non-flat T of A of rank <= k, with closure Y.  If m is not in
-Y, then T lies in J, is 2-closed in A_J and is not a flat there (its
-closure there is Y again), which A_J's walk rules out.  If m is in T,
-case (2) gives a rooted non-flat of rank <= k.  If m is in Y but not in
-T, T is 2-closed in A_J and of rank <= k, hence a flat of A_J, and case
-(3) gives a rooted non-flat of rank <= k.  So A's whole walk passes
-level k, and its level k is every rank-k flat of A.  A rank-k flat of A
-without m is a flat of A_J that stays one in A, that is, a flat Y of A_J
-with m outside span(Y).  When m lies in span(Y), Y + m is a rank-k flat
-of A through m, a rooted state; when Y + m is a rooted state, it has the
-rank of Y, so m lies in span(Y).  So the filter is a set lookup, with
-no elimination.  The keys of A_J's states stay keys, as a key depends
-only on the span of its state.  The walk then steps on from level k;
-its witness depends only on the states of each level, never on their
-keys, so it is the whole walk's.  ``is_line_closed`` keeps the last
-passed level of each non-line-closed ground, bounded to the two most
-recent ground sizes, and resumes when J's entry is there and the rooted
-walk passes its level; otherwise the whole walk runs.  The lemma never
-assumes that A is not line-closed.
+leaves no 2-closed non-flat of rank <= k.  Now let T be a 2-closed
+non-flat of A of rank j <= k, with closure Y.  T is 2-closed in A_J too,
+since a line of A_J lies in a line of A, so by the second point it is a
+flat of A_J if it lies in J.
+(1) m not in Y.  Then T is a flat of A_J, T = J & span(T), and m is not
+in span(T), so T is a flat of A: impossible.
+(2) m in T.  Extend m to a basis B = m, b2, .., bj of T.  cl2(B) lies in
+T, and its closure is that of T, which exceeds T, so cl2(B) is not a
+flat.  As for the whole walk, take the shortest prefix of B whose
+2-closure is not a flat: cl2(m, b2) is a seed line, and each shorter
+prefix's 2-closure is a flat through m, hence a rooted state, so the
+rooted walk meets a non-flat of rank <= k: impossible.
+(3) m in Y but not in T.  T is a flat of A_J, so Y = T + m and m lies in
+span(T).  No line through m in Y holds two roots of T, which is 2-closed,
+so every such line holds exactly two roots.  Write m over a basis
+t1, .., tj of T and drop a t_i of nonzero coefficient: m is outside the
+span of the remaining j - 1 roots t.  Then cl2(t) lies in T, and adding m
+meets no line of three roots, so C = cl2(m, t) = {m} + cl2(t), of rank
+j.  By (2)'s prefix argument C is a flat, and a flat of rank j inside Y
+is Y itself, so T lies in cl2(t), whose rank is j - 1: impossible.
+So A's whole walk passes level k, and its level k is every rank-k flat
+of A.  A rank-k flat of A without m is a flat Y of A_J with m outside
+span(Y).  When m lies in span(Y), Y + m is a rank-k flat of A through m,
+a rooted state; when Y + m is a rooted state, it has the rank of Y, so m
+lies in span(Y).  So that level is the states Y of A_J's level k with
+Y + m not a rooted state, plus the rooted states of level k: a set
+lookup, with no elimination.  The keys of A_J's states stay keys, as a
+key depends only on the span of its state.  The walk then steps on from
+level k; its witness depends only on the states of each level, never on
+their keys, so it is the whole walk's.  A line-closed A_J passes its top
+level, k = rank J, which is J alone; if A has the rank of J, its level k
+is then the rooted states alone, so A is line-closed iff the rooted walk
+meets only flats.  ``is_line_closed`` keeps the last passed level of
+every ground of rank 3 or more, for the two most recent ground sizes,
+and resumes for m the highest root when J's entry is there and the
+rooted walk passes its level; for an ideal, m is then maximal and J an
+ideal decided earlier.  Otherwise the whole walk runs.  The lemma never
+assumes that A is or is not line-closed.
 
 The flatness test of a new state goes through a join memo on the system,
 kept in ``_memos``, filled lazily by ``_join``.  Each state S is held
@@ -202,28 +187,23 @@ class Arrangement:
     def is_line_closed(self) -> tuple[bool, frozenset[int] | None]:
         """Decide line-closedness; on failure also return a witness.
 
-        The verdict of each ground mask is kept in one table per system
-        (:func:`_line_closed`).  When that table already says the ground
-        minus its highest root m is line-closed, the walk is first seeded
-        with the lines through m alone; the module docstring proves that
-        the arrangement is then line-closed iff every state of that walk
-        is a flat.  When the ground minus m is known not to be line-closed,
-        the whole walk resumes from the last level that the smaller
-        ground's walk passed (:func:`_keep_passed_level`) instead of
-        starting at the lines.  Otherwise, or when the rooted walk meets a
-        non-flat, the whole walk runs, so the witness never depends on the
-        tables.
+        For m the highest root, the walk resumes (:meth:`_resume`) from the
+        last level passed by the walk of the ground minus m, when the
+        system's table of passed levels holds it (:func:`_keep_passed_level`)
+        and the walk rooted at m passes that level; otherwise the whole walk
+        runs from the lines.  Either way the witness is the whole walk's
+        (module docstring), and the ground's own last passed level is kept.
         """
-        return _line_closed(self.system, self.ground_mask, self)
-
-    def _walk(self, seed: int) -> frozenset[int] | None:
-        """The first 2-closed state that is not a flat, or None.
-
-        The walk from the lines through a root of ``seed`` (:meth:`_seed`)
-        up to the full rank (:meth:`_climb`): the whole walk when ``seed``
-        is the ground set, the walk rooted at m when it is root m.
-        """
-        return self._climb(self._seed(seed), 2, self.rank())[0]
+        if self.rank() < 3:
+            return True, None
+        system, ground = self.system, self.ground_mask
+        top = 1 << ground.bit_length() - 1
+        below = ground ^ top
+        passed = _memo_table(system, _keep_passed_level).get(below.bit_count(), {}).get(below)
+        climbed = self._resume(top, *passed) if passed else None
+        witness, k, level = climbed or self._climb(self._seed(ground), 2, self.rank())
+        _keep_passed_level(system, ground, k, level)
+        return witness is None, witness
 
     def _seed(self, seed: int) -> dict[int, int]:
         """The walk's rank-2 states: the distinct lines through a root of ``seed``.
@@ -247,15 +227,16 @@ class Arrangement:
 
         Returns ``(witness, j, passed)``: the first new state that is not a
         flat, or None, and ``passed``, the last level the walk completed,
-        of rank j, with its keys.  Each step is one rank: a rank-(k+1)
-        state is the 2-closure of a rank-k state plus one ground root
-        outside it, grown only from the new roots through the system's
-        pair-span table (``rootsystem._pair_spans``).  Per parent, ``done``
-        collects the roots that ``_grow_two_closure`` proves would regrow a
-        child already grown; they are skipped, as they would only hit a
-        state already in the next level, so the states reached and their
-        order are those of growing every root.  The whole, rooted and
-        resumed walks differ only in the ``level`` they start from.
+        of rank j, with its keys; j is ``top`` when there is no witness.
+        Each step is one rank: a rank-(k+1) state is the 2-closure of a
+        rank-k state plus one ground root outside it, grown only from the
+        new roots through the system's pair-span table
+        (``rootsystem._pair_spans``).  Per parent, ``done`` collects the
+        roots that ``_grow_two_closure`` proves would regrow a child already
+        grown; they are skipped, as they would only hit a state already in
+        the next level, so the states reached and their order are those of
+        growing every root.  The whole walk, the rooted walk and a resumed
+        walk differ only in the ``level`` they start from.
 
         Each state maps to its key alone: a mask of system roots that
         contains the state and lies in its span; a rank-2 state's key is
@@ -294,12 +275,13 @@ class Arrangement:
     ) -> tuple[frozenset[int] | None, int, dict[int, int]] | None:
         """The whole walk's ``_climb`` from its level k, or None.
 
-        ``below`` is the level k that the whole walk of the ground minus
-        ``root`` (a one-bit mask) passed last.  The walk rooted at ``root``
-        runs up to level k; if it meets a non-flat there, None.  Otherwise
-        the whole walk's level k is the states of ``below`` whose union with
-        ``root`` is no rooted state, plus the rooted states (module
-        docstring), and the climb goes on from there.
+        ``below`` is the level k that the walk of the ground minus ``root``
+        (a one-bit mask) passed last, that ground alone if it is
+        line-closed.  The walk rooted at ``root`` runs up to level k; if it
+        meets a non-flat there, None.  Otherwise the whole walk's level k is
+        the states of ``below`` whose union with ``root`` is no rooted
+        state, plus the rooted states (module docstring), and the climb goes
+        on from there.
         """
         witness, _, rooted = self._climb(self._seed(root), 2, k)
         if witness is not None:
@@ -386,35 +368,11 @@ class Arrangement:
         return f"Arrangement({self.system.label}, {len(self.ground)} vectors)"
 
 
-@_memoized
-def _line_closed(
-    system: RootSystem, ground: int, arr: Arrangement
-) -> tuple[bool, frozenset[int] | None]:
-    """``Arrangement.is_line_closed`` of ``arr``, whose ground mask is ``ground``.
-
-    Memoized on the system, so its table holds every verdict reached so far;
-    the rooted walk reads only the entry of ground minus its highest root,
-    and so does the resumed walk in the table of passed levels
-    (:func:`_keep_passed_level`).
-    """
-    if arr.rank() < 3:
-        return True, None
-    top = 1 << ground.bit_length() - 1
-    below = ground ^ top
-    if _memo_table(system, _line_closed).get(below, (False,))[0] and arr._walk(top) is None:
-        return True, None
-    passed = _memo_table(system, _keep_passed_level).get(below.bit_count(), {}).get(below)
-    climbed = arr._resume(top, *passed) if passed else None
-    witness, k, level = climbed or arr._climb(arr._seed(ground), 2, arr.rank())
-    if witness is not None:
-        _keep_passed_level(system, ground, k, level)
-    return witness is None, witness
-
-
 def _keep_passed_level(system: RootSystem, ground: int, k: int, level: dict[int, int]) -> None:
-    """Keep the level k that the whole walk of a non-line-closed ground passed last.
+    """Keep the level k that the walk of a ground passed last.
 
-    The table, in ``system._memos``, maps ground size to ground mask to
+    A line-closed ground passes its top level, the ground alone.  The
+    table, in ``system._memos``, maps ground size to ground mask to
     ``(k, level)``.  It keeps only the two most recent ground sizes, as a
     ground's walk resumes from a ground one root smaller; smallest first,
     that is all a survey needs.  A missing entry only means a whole walk.

@@ -460,39 +460,42 @@ class RootSystem:
         """
         if i == j:
             raise ValueError("pair span needs two distinct roots")
-        return _pair_table(self)[0][i][j] or _pair_spans(self, 1 << i | 1 << j)[i][j]
+        return _pair_table(self)[1][i][j] or _pair_spans(self, 1 << i | 1 << j)[i][j]
 
     def __repr__(self) -> str:
         return f"RootSystem({self.label}, {self.nroots} positive roots)"
 
 
 @_memoized
-def _pair_table(system: RootSystem) -> tuple[list[list[int]], list[int]]:
-    """The system's pair-span table ``spans`` and its fill record ``known``.
+def _pair_table(system: RootSystem) -> list:
+    """The system's pair-span table ``spans`` with its fill mask, ``[filled, spans]``.
 
-    ``spans[i][j]`` is ``pair_span_mask(i, j)`` once bit j of ``known[i]``
-    is set, and 0 before: a span holds its two roots, so it is never 0.
-    The diagonal stays 0.
+    ``spans[i][j]`` is ``pair_span_mask(i, j)`` for i and j in ``filled``,
+    and 0 before: a span holds its two roots, so it is never 0.  The
+    diagonal stays 0.
     """
     n = system.nroots
-    return [[0] * n for _ in range(n)], [0] * n
+    return [0, [[0] * n for _ in range(n)]]
 
 
 def _pair_spans(system: RootSystem, ground: int) -> list[list[int]]:
     """The system's pair-span table, with every pair of roots of ``ground`` filled.
 
-    A missing span is filled by elimination: the roots that reduce to zero
-    against the echelon rows of the pair.  Entries are system masks, not
-    traced on ``ground``, so one table serves every ground set.
+    Each root of ``ground`` not yet filled is paired with the filled roots,
+    those filled before it here included, so a filled ground costs one
+    mask test.  A missing span is filled by elimination: the roots that
+    reduce to zero against the echelon rows of the pair.  Entries are
+    system masks, not traced on ``ground``, so one table serves every
+    ground set.
     """
-    spans, known = _pair_table(system)
+    table = _pair_table(system)
+    filled, spans = table
     coords = system.coords
-    for i in _bits(ground):
-        todo = ground & ~known[i] & ~(1 << i)
-        for j in _bits(todo):
+    for i in _bits(ground & ~filled):
+        for j in _bits(filled):
             spans[i][j] = spans[j][i] = _span_mask(_echelon((coords[i], coords[j])), coords)
-            known[j] |= 1 << i
-        known[i] |= todo
+        filled |= 1 << i
+    table[0] = filled
     return spans
 
 

@@ -476,10 +476,9 @@ def _echelon_without_third_row(vectors):
     return rows[:2] + rows[3:]
 
 
-def _trust_line_closed_subideals(mp) -> None:
-    """Let every rooted walk pass unwalked: a line-closed subideal vouches for the ideal."""
-    walk = Arrangement._walk
-    mp.setattr(Arrangement, "_walk", lambda arr, seed: walk(arr, seed) if seed == arr.ground_mask else None)
+def _trust_kept_levels(mp) -> None:
+    """Let every resumed walk skip the rooted climb: the subideal's kept level vouches for m."""
+    mp.setattr(Arrangement, "_resume", lambda arr, root, k, below: arr._climb(below, k, arr.rank()))
 
 
 def _simple_filters_without_lowest_root(rs) -> tuple[int, ...]:
@@ -503,8 +502,8 @@ def _close_with_next_root(mp) -> None:
 
 # Each installs a plausible bug in one kernel the routes share, on one system
 # or, for the elimination kernels, in every module that binds them.  The last
-# three break one route's own code: the line-closedness route trusts a
-# line-closed subideal without the rooted walk; the generic search accepts
+# three break one route's own code: the line-closedness route resumes from
+# a subideal's kept level without the rooted walk; the generic search accepts
 # coatoms that are not modular, or prunes modular ones.
 KERNEL_MUTANTS = {
     "chains-always": lambda mp, rs: mp.setattr(rs, "is_chain_mask", lambda mask: True),
@@ -521,7 +520,7 @@ KERNEL_MUTANTS = {
     "simple-filters-lose-lowest-root": lambda mp, rs: mp.setattr(
         rs, "up_masks", _simple_filters_without_lowest_root(rs)
     ),
-    "rooted-walk-trusts-subideal": lambda mp, rs: _trust_line_closed_subideals(mp),
+    "resume-trusts-subideal": lambda mp, rs: _trust_kept_levels(mp),
     "pair-test-skipped": lambda mp, rs: mp.setattr(classify, "_pairs_meet", lambda *args: True),
     "closure-takes-the-next-root": lambda mp, rs: _close_with_next_root(mp),
 }

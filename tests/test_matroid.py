@@ -524,9 +524,9 @@ def test_line_closed_walk_matches_definition_on_random_subsets(case):
 
 
 def test_rooted_walk_matches_definition_on_random_subsets():
-    # the matroid docstring's lemma, on sets that are rarely ideals: when
-    # S - m is line-closed, for m the highest root of S, the walk rooted at
-    # m finds only flats iff S is line-closed
+    # the matroid docstring's resume lemma at k = rank(S - m), on sets
+    # that are rarely ideals: when S - m is line-closed, for m the highest
+    # root of S, the walk rooted at m finds only flats iff S is line-closed
     verdicts = []
 
     @settings(max_examples=80, deadline=None, derandomize=True, database=None)
@@ -537,7 +537,7 @@ def test_rooted_walk_matches_definition_on_random_subsets():
         assume(Arrangement(rs, ground[:-1]).line_closed_by_definition()[0])
         arr = Arrangement(rs, ground)
         ok = arr.line_closed_by_definition()[0]
-        assert (arr._walk(1 << ground[-1]) is None) == ok
+        assert (arr._climb(arr._seed(1 << ground[-1]), 2, arr.rank())[0] is None) == ok
         verdicts.append(ok)
 
     check()
@@ -628,38 +628,6 @@ def test_join_memo_never_changes_a_walk(label):
     assert _memo_table(shared, _join) and _memo_table(reverse, _join)
 
 
-@pytest.mark.parametrize(
-    "label, rooted",
-    [("D4", 34), ("F4", 69), ("B4", 55), ("C4", 55), ("G2", 0), ("A5", 112), ("D5", 140)],
-)
-def test_rooted_walk_changes_no_verdict_or_witness(label, rooted, monkeypatch):
-    # smallest first, an ideal's subideal J without its highest root is
-    # decided first, and the walk is rooted whenever J is line-closed and
-    # the ideal has rank 3 or more (34 of D4's 50 ideals: 47 have a
-    # line-closed J, 13 of them rank at most 2); largest first it never
-    # is.  Both orders give the same verdicts and witnesses.
-    seeds = []
-    walk = Arrangement._walk
-
-    def recorded(arr, seed):
-        seeds.append((arr.ground_mask, seed))
-        return walk(arr, seed)
-
-    monkeypatch.setattr(Arrangement, "_walk", recorded)
-    masks = [ideal.mask for ideal in enumerate_ideals(get_system(label))]
-    small, large = build_root_system(label), build_root_system(label)
-    down = {m: Arrangement(large, _bits(m)).is_line_closed() for m in reversed(masks)}
-    assert all(seed == m for m, seed in seeds)
-    seeds.clear()
-    up = {m: Arrangement(small, _bits(m)).is_line_closed() for m in masks}
-    assert up == down
-    taken = [m for m, seed in seeds if seed != m]
-    assert len(taken) == len(set(taken))
-    lower = {m: down[m ^ 1 << m.bit_length() - 1][0] for m in masks if m}
-    assert taken == [m for m in masks if Arrangement(small, _bits(m)).rank() > 2 and lower[m]]
-    assert len(taken) == rooted
-
-
 def whole_walk(label: str, ground) -> tuple[frozenset[int] | None, int, set[int]]:
     """A fresh system's whole walk: its witness, and the rank and states of its last passed level."""
     arr = Arrangement(build_root_system(label), ground)
@@ -700,7 +668,8 @@ def test_resumed_walk_matches_a_fresh_whole_walk_on_random_subsets(monkeypatch):
     # the matroid docstring's resume lemma, on sets that are rarely ideals:
     # the prefixes of the ground are decided in index order on one system,
     # so each prefix's ground minus its highest root is decided first.
-    # Verdict, witness and the kept level are a fresh whole walk's.
+    # Verdict, witness and the kept level are a fresh whole walk's, on
+    # line-closed prefixes too.
     resumes = record_resumes(monkeypatch)
     verdicts = []
 
@@ -714,7 +683,7 @@ def test_resumed_walk_matches_a_fresh_whole_walk_on_random_subsets(monkeypatch):
             ok, witness = arr.is_line_closed()
             fresh = whole_walk(label, ground[:end])
             assert (ok, witness) == (fresh[0] is None, fresh[0])
-            if not ok:
+            if arr.rank() > 2:
                 assert kept_level(rs, arr.ground_mask) == fresh[1:]
             verdicts.append(ok)
 
@@ -723,38 +692,73 @@ def test_resumed_walk_matches_a_fresh_whole_walk_on_random_subsets(monkeypatch):
     assert any(resumed for _, resumed in resumes)
 
 
-@pytest.mark.parametrize("label, resumed", [("D4", 2), ("F4", 21), ("D5", 22)])
-def test_resumed_walk_changes_no_verdict_or_witness(label, resumed, monkeypatch):
+@pytest.mark.parametrize(
+    "label, attempts, resumed",
+    [
+        ("D4", 32, 31),
+        ("F4", 86, 85),
+        ("B4", 51, 51),
+        ("C4", 51, 51),
+        ("G2", 0, 0),
+        ("A5", 102, 102),
+        ("D5", 152, 149),
+    ],
+)
+def test_resumed_walk_changes_no_verdict_or_witness(label, attempts, resumed, monkeypatch):
     # smallest first, an ideal's subideal J without its highest root is
-    # decided first, and when J is not line-closed the walk resumes from
-    # J's kept level, unless the rooted walk meets a non-flat by then;
-    # largest first it never does.  Both orders and a fresh system per
-    # ideal give the same verdicts and witnesses, and every kept level is
-    # the one a fresh whole walk passed last.
+    # decided first, and the walk tries to resume from J's kept level
+    # whenever J has rank 3 or more (32 of D4's 50 ideals); it resumes
+    # unless the rooted walk meets a non-flat by then.  Largest first it
+    # never tries.  Both orders and a fresh system per ideal give the same
+    # verdicts and witnesses, and every kept level, line-closed grounds
+    # included, is the one a fresh whole walk passed last.
     resumes = record_resumes(monkeypatch)
     masks = [ideal.mask for ideal in enumerate_ideals(get_system(label))]
     small, large = build_root_system(label), build_root_system(label)
     down = {m: Arrangement(large, _bits(m)).is_line_closed() for m in reversed(masks)}
     assert resumes == []
+    rank = {m: Arrangement(small, _bits(m)).rank() for m in masks}
     up = {}
     for m in masks:
         up[m] = Arrangement(small, _bits(m)).is_line_closed()
-        if not up[m][0]:
-            assert kept_level(small, m) == whole_walk(label, _bits(m))[1:]
+        assert kept_level(small, m) == (whole_walk(label, _bits(m))[1:] if rank[m] > 2 else None)
     fresh = {m: Arrangement(build_root_system(label), _bits(m)).is_line_closed() for m in masks}
     assert up == down == fresh
-    assert len(resumes) == len(set(resumes))
-    assert sum(resumed for _, resumed in resumes) == resumed
+    tried = [m for m, _ in resumes]
+    assert tried == [m for m in masks if m and rank[m ^ 1 << m.bit_length() - 1] > 2]
+    assert (len(tried), sum(ok for _, ok in resumes)) == (attempts, resumed)
 
 
 def test_kept_levels_hold_two_ground_sizes_after_an_e6_survey(monkeypatch):
     # the table of passed levels is bounded: it keeps the two most recent
-    # ground sizes, which is all a smallest-first survey reads
+    # ground sizes, which is all a smallest-first survey reads; with the
+    # join memo and the pair-span table it is all the walk keeps
     rs = build_root_system("E6")
     monkeypatch.setattr(cli, "_load_system", lambda type_str: rs)
     report = cli.run_survey("E6")
     assert report["equivalence_ok"] and report["summary"]["line_closed"] < report["ideal_count"]
     assert 0 < len(_memo_table(rs, matroid._keep_passed_level)) <= 2
+    searches = {"_generic_search", "_peel_search", "_rootideal_search", "_root_names", "bad_ideals"}
+    walk = {"_join", "_keep_passed_level", "_pair_table"}
+    assert {table.__name__ for table in rs._memos} == searches | walk
+
+
+@pytest.mark.parametrize("label", ["D4", "F4", "B4"])
+def test_kept_levels_key_each_state_by_its_span(label):
+    # a resumed walk reuses the keys of the level kept for J, so each key
+    # must contain its state and have its rank, by Fraction rank; a
+    # line-closed ground keeps its top level, which holds the ground alone
+    rs = build_root_system(label)
+    for ideal in enumerate_ideals(rs):
+        arr = Arrangement(rs, ideal.members())
+        ok = arr.is_line_closed()[0]
+        if arr.rank() < 3:
+            continue
+        k, level = _memo_table(rs, matroid._keep_passed_level)[ideal.size][ideal.mask]
+        if ok:
+            assert (k, list(level)) == (arr.rank(), [ideal.mask])
+        for state, key in level.items():
+            assert key & arr.ground_mask == state and frac_rank_of_mask(label, key) == k
 
 
 @pytest.mark.parametrize("label", ["D5", "F4"])
@@ -779,9 +783,8 @@ def test_join_memo_entries_hold_from_scratch(label):
 @pytest.mark.parametrize("label", ["D5", "F4", "E6"])
 def test_second_walk_of_an_ideal_does_no_elimination(label, monkeypatch):
     # walk states hold only their join keys, and a join entry builds echelon
-    # rows only for roots it has not tested, so walking an ideal again on
-    # the same system reads the memo alone.  The whole walk is called
-    # directly, as is_line_closed would only look its verdict up.
+    # rows only for roots it has not tested, so deciding an ideal again on
+    # the same system reads the memo alone.
     rs = build_root_system(label)
     calls = []
 
@@ -795,13 +798,13 @@ def test_second_walk_of_an_ideal_does_no_elimination(label, monkeypatch):
         return call
 
     for ideal in list(enumerate_ideals(rs))[::7]:
-        first = Arrangement(rs, ideal.members())._walk(ideal.mask)
+        first = Arrangement(rs, ideal.members()).is_line_closed()
         again = Arrangement(rs, ideal.members())
         again.rank()
         with monkeypatch.context() as m:
             m.setattr(matroid, "_echelon", counted("_echelon"))
             m.setattr(matroid, "_reduce", counted("_reduce"))
-            assert again._walk(again.ground_mask) == first
+            assert again.is_line_closed() == first
     assert calls == []
 
 

@@ -11,9 +11,11 @@ from __future__ import annotations
 
 import pickle
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rootarr import (
     Ideal,
@@ -25,6 +27,7 @@ from rootarr import (
     parse_root,
     reflect,
 )
+from rootarr import rootsystem
 from rootarr.ideals import restrict_mask
 from rootarr.rootsystem import _memoized, build_root_system
 from conftest import get_system
@@ -377,6 +380,47 @@ def test_rank2_subsystem_rejects_equal_roots():
     rs = get_system("A2")
     with pytest.raises(ValueError):
         rs.pair_span_mask(1, 1)
+
+
+@lru_cache(maxsize=None)
+def _fraction_span(label: str, i: int, j: int) -> int:
+    return _mask(_bruteforce_span_members(get_system(label), i, j))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(["A4", "B4", "D4", "F4", "G2"]), st.data())
+def test_pair_span_table_fills_each_pair_once(label, data):
+    # random ground fills and single lookups on a fresh system: the filled
+    # roots are those asked for, each pair of them holds its span by
+    # Fraction solving and cost one elimination, every other entry is 0,
+    # and a repeated call eliminates nothing
+    rs = build_root_system(label)
+    n = rs.nroots
+    roots = st.sets(st.integers(0, n - 1), min_size=2, max_size=n)
+    steps = data.draw(st.lists(st.tuples(st.booleans(), roots), min_size=1, max_size=6))
+    spanned = []
+    span_mask = rootsystem._span_mask
+    asked = 0
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rootsystem, "_span_mask", lambda *args: spanned.append(1) or span_mask(*args))
+        for whole, picked in steps:
+            i, j = sorted(picked)[:2]
+            ground = _mask(picked) if whole else 1 << i | 1 << j
+            for repeat in (False, True):
+                before = len(spanned)
+                if whole:
+                    rootsystem._pair_spans(rs, ground)
+                else:
+                    rs.pair_span_mask(i, j)
+                assert not repeat or len(spanned) == before
+            asked |= ground
+    filled, spans = rootsystem._pair_table(rs)
+    assert filled == asked
+    assert len(spanned) == filled.bit_count() * (filled.bit_count() - 1) // 2
+    for i in range(n):
+        for j in range(n):
+            inside = i != j and filled >> i & 1 and filled >> j & 1
+            assert spans[i][j] == (_fraction_span(label, i, j) if inside else 0)
 
 
 class MemoOwner:
