@@ -641,14 +641,14 @@ def kept_level(rs, ground: int) -> tuple[int, set[int]] | None:
     return kept and (kept[0], set(kept[1]))
 
 
-def record_resumes(monkeypatch) -> list[tuple[int, bool]]:
-    """Record each resume attempt as (ground mask, whether the walk resumed)."""
+def record_resumes(monkeypatch) -> list[tuple[int, int, set[int], bool]]:
+    """Record each resume attempt as (ground mask, k, the states resumed from, whether it resumed)."""
     resumes = []
     resume = Arrangement._resume
 
     def recorded(arr, root, k, below):
         climbed = resume(arr, root, k, below)
-        resumes.append((arr.ground_mask, climbed is not None))
+        resumes.append((arr.ground_mask, k, set(below), climbed is not None))
         return climbed
 
     monkeypatch.setattr(Arrangement, "_resume", recorded)
@@ -689,29 +689,17 @@ def test_resumed_walk_matches_a_fresh_whole_walk_on_random_subsets(monkeypatch):
 
     check()
     assert True in verdicts and False in verdicts
-    assert any(resumed for _, resumed in resumes)
+    assert any(resumed for *_, resumed in resumes)
 
 
-@pytest.mark.parametrize(
-    "label, attempts, resumed",
-    [
-        ("D4", 32, 31),
-        ("F4", 86, 85),
-        ("B4", 51, 51),
-        ("C4", 51, 51),
-        ("G2", 0, 0),
-        ("A5", 102, 102),
-        ("D5", 152, 149),
-    ],
-)
-def test_resumed_walk_changes_no_verdict_or_witness(label, attempts, resumed, monkeypatch):
-    # smallest first, an ideal's subideal J without its highest root is
-    # decided first, and the walk tries to resume from J's kept level
-    # whenever J has rank 3 or more (32 of D4's 50 ideals); it resumes
-    # unless the rooted walk meets a non-flat by then.  Largest first it
-    # never tries.  Both orders and a fresh system per ideal give the same
-    # verdicts and witnesses, and every kept level, line-closed grounds
-    # included, is the one a fresh whole walk passed last.
+def warm_starts(label: str, monkeypatch):
+    """Each ideal's verdict both ways, its rank, and the resumes taken smallest first.
+
+    Largest first, an ideal's subideal J without its highest root is never
+    decided before it, so no walk resumes; smallest first, J is decided
+    first and the walk tries to resume from J's kept level whenever J has
+    rank 3 or more.  Both orders give the same verdicts and witnesses.
+    """
     resumes = record_resumes(monkeypatch)
     masks = [ideal.mask for ideal in enumerate_ideals(get_system(label))]
     small, large = build_root_system(label), build_root_system(label)
@@ -722,11 +710,48 @@ def test_resumed_walk_changes_no_verdict_or_witness(label, attempts, resumed, mo
     for m in masks:
         up[m] = Arrangement(small, _bits(m)).is_line_closed()
         assert kept_level(small, m) == (whole_walk(label, _bits(m))[1:] if rank[m] > 2 else None)
+    assert up == down
+    below = {m: m ^ 1 << m.bit_length() - 1 for m in masks if m}
+    assert [m for m, *_ in resumes] == [m for m in below if rank[below[m]] > 2]
+    return masks, up, rank, below, resumes
+
+
+# resume attempts and resumes of a smallest-first pass, by type
+WARM_STARTS = {
+    "D4": (32, 31), "F4": (86, 85), "B4": (51, 51), "C4": (51, 51),
+    "G2": (0, 0), "A5": (102, 102), "D5": (152, 149),
+}
+
+
+@pytest.mark.parametrize(
+    "label, rooted",
+    [("D4", 34), ("F4", 69), ("B4", 55), ("C4", 55), ("G2", 0), ("A5", 112), ("D5", 140)],
+)
+def test_rooted_walk_changes_no_verdict_or_witness(label, rooted, monkeypatch):
+    # the rooted walk is the resume from a line-closed J's kept level, J
+    # alone at rank J: of the ideals of rank 3 or more whose J is
+    # line-closed (34 of D4's 50), those whose J has rank 3 or more
+    # resume from it and the others climb from the lines.  Every kept
+    # level, line-closed grounds included, is a fresh whole walk's last
+    # passed level, and grounds of rank 2 or less keep none.
+    masks, up, rank, below, resumes = warm_starts(label, monkeypatch)
+    taken = [m for m in below if rank[m] > 2 and up[below[m]][0]]
+    assert len(taken) == rooted
+    from_top = [(m, k, level) for m, k, level, _ in resumes if up[below[m]][0]]
+    assert from_top == [(m, rank[below[m]], {below[m]}) for m in taken if rank[below[m]] > 2]
+    assert (len(resumes), sum(ok for *_, ok in resumes)) == WARM_STARTS[label]
+
+
+@pytest.mark.parametrize("label, resumed", [("D4", 2), ("F4", 21), ("D5", 22)])
+def test_resumed_walk_changes_no_verdict_or_witness(label, resumed, monkeypatch):
+    # when J is not line-closed the walk resumes from J's kept level,
+    # unless the rooted walk meets a non-flat by then; smallest first,
+    # largest first and a fresh system per ideal give the same verdicts
+    # and witnesses
+    masks, up, rank, below, resumes = warm_starts(label, monkeypatch)
     fresh = {m: Arrangement(build_root_system(label), _bits(m)).is_line_closed() for m in masks}
-    assert up == down == fresh
-    tried = [m for m, _ in resumes]
-    assert tried == [m for m in masks if m and rank[m ^ 1 << m.bit_length() - 1] > 2]
-    assert (len(tried), sum(ok for _, ok in resumes)) == (attempts, resumed)
+    assert up == fresh
+    assert sum(ok for m, *_, ok in resumes if not up[below[m]][0]) == resumed
 
 
 def test_kept_levels_hold_two_ground_sizes_after_an_e6_survey(monkeypatch):
